@@ -10,11 +10,14 @@ claims:
 * **p99 tick-to-verdict latency** — per-stream, from the engine's
   ``verdict_latency`` (quiet streams get their verdict when the vector
   phase lands; fallout streams after their DBSCAN re-cluster);
-* **bitwise equivalence** — a subsample of streams (anomalous and
-  quiet) runs mirrored single-stream
-  :class:`~repro.stream.detector.StreamingDetector` instances on the
-  identical rows; every tick's verdict and the final checkpoints must
-  be *equal*, not approximately equal, before any number is reported.
+* **lane isolation** — a subsample of streams (anomalous and quiet)
+  runs mirrored single-stream
+  :class:`~repro.stream.detector.StreamingDetector` instances (one-lane
+  fleets) on the identical rows; every tick's verdict and the final
+  checkpoints must be *equal*, not approximately equal, before any
+  number is reported.  This catches state leaking between lanes and
+  fallout grouping that depends on the fleet size; the independent
+  references (batch detector, ingest oracle) live in the test suite.
 
 Two storm legs ride along (the anomaly-storm tentpole):
 

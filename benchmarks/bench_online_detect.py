@@ -1,7 +1,7 @@
 """Online-detection bench: re-run-batch vs streaming per-tick latency.
 
-Feeds seeded scenario runs tick by tick and times four ways of answering
-"is the current telemetry window anomalous?" once the ring buffer is at
+Feeds seeded scenario runs tick by tick and times three ways of answering
+"is the current telemetry window anomalous?" once the window is at
 steady state (full):
 
 * **batch_golden** — the frozen seed detector
@@ -10,15 +10,15 @@ steady state (full):
   every tick" baseline (Python-loop Equation 4, dense O(n²) DBSCAN);
 * **batch_vectorized** — the live :class:`AnomalyDetector` re-run per
   tick (vectorized Equation 4, grid-indexed DBSCAN) on the same snapshot;
-* **stream_exact** — :class:`StreamingDetector` in ``mode="exact"``:
-  incremental potential power, full re-cluster per tick;
-* **stream_incremental** — ``mode="incremental"``: re-clusters only on
-  membership/ε drift.
+* **stream_exact** — :class:`StreamingDetector` (a one-lane fleet):
+  potential power kept per row, full re-cluster per tick.
 
 Equivalence is asserted before any number is reported: ``stream_exact``
-must match ``batch_vectorized`` on every shared window (mask, regions,
-selected attributes, ε), and ``batch_vectorized`` must match
-``batch_golden`` on every sampled window.  Per-tick latency percentiles
+must match ``batch_vectorized`` on every steady-state window (mask,
+regions, selected attributes, ε), and ``batch_vectorized`` must match
+``batch_golden`` on every sampled window.  The batch paths run on a
+window cut straight from the source dataset, so a storage bug in the
+streaming detector cannot agree with itself.  Per-tick latency percentiles
 and speedups land in ``BENCH_online_detect.json`` at the repo root.
 
 Run standalone (``PERF_BENCH_SCALE=tiny`` is the CI smoke scale):
@@ -44,7 +44,7 @@ if __name__ == "__main__":  # allow `python benchmarks/bench_online_detect.py`
 
 from repro.core.anomaly import AnomalyDetector  # noqa: E402
 from repro.eval.harness import replay_rows, simulate_run  # noqa: E402
-from repro.stream import RingBufferWindow, StreamingDetector  # noqa: E402
+from repro.stream import StreamingDetector  # noqa: E402
 from repro.stream.golden import GoldenAnomalyDetector  # noqa: E402
 
 #: Bench scales; "tiny" is the CI smoke (seconds), "bench" the recorded
@@ -72,10 +72,9 @@ SCALES = {
 #: The headline number: streaming vs re-running the (seed) batch
 #: detector every tick.
 MIN_SPEEDUP_VS_GOLDEN = 5.0
-#: Both streaming modes must also beat re-running the *vectorized* batch
-#: detector, which already shares this PR's kernels.
+#: Streaming must also beat re-running the *vectorized* batch detector,
+#: which shares its clustering kernels.
 MIN_EXACT_VS_BATCH = 1.2
-MIN_INCREMENTAL_VS_BATCH = 1.5
 
 
 def _percentiles(samples) -> dict:
@@ -106,15 +105,7 @@ def _run_scenario(anomaly_key: str, seed: int, params: dict, latencies: dict):
         normal_s=params["normal_s"],
     )
     capacity = params["capacity"]
-    window = RingBufferWindow(
-        capacity,
-        numeric=dataset.numeric_attributes,
-        categorical=dataset.categorical_attributes,
-    )
-    stream_exact = StreamingDetector(capacity=capacity, mode="exact")
-    stream_incremental = StreamingDetector(
-        capacity=capacity, mode="incremental"
-    )
+    stream_exact = StreamingDetector(capacity=capacity)
     batch = AnomalyDetector()
     golden = GoldenAnomalyDetector()
 
@@ -122,24 +113,20 @@ def _run_scenario(anomaly_key: str, seed: int, params: dict, latencies: dict):
     for i, (t, numeric_row, categorical_row) in enumerate(
         replay_rows(dataset)
     ):
-        window.append(t, numeric_row, categorical_row)
-
         start = time.perf_counter()
         exact_tick = stream_exact.tick(t, numeric_row, categorical_row)
         exact_s = time.perf_counter() - start
 
-        start = time.perf_counter()
-        stream_incremental.tick(t, numeric_row, categorical_row)
-        incremental_s = time.perf_counter() - start
-
-        if not window.full:
+        if i + 1 < capacity:
             continue  # cold start: only steady-state ticks are scored
         latencies["stream_exact"].append(exact_s)
-        latencies["stream_incremental"].append(incremental_s)
 
-        # "re-run the batch detector every tick": snapshot + full detect
+        # "re-run the batch detector every tick": snapshot + full detect,
+        # on the last `capacity` rows of the source dataset
+        rows = np.zeros(dataset.n_rows, dtype=bool)
+        rows[i + 1 - capacity : i + 1] = True
         start = time.perf_counter()
-        snapshot = window.to_dataset()
+        snapshot = dataset.select(rows)
         batch_result = batch.detect(snapshot)
         latencies["batch_vectorized"].append(time.perf_counter() - start)
 
@@ -152,7 +139,7 @@ def _run_scenario(anomaly_key: str, seed: int, params: dict, latencies: dict):
 
         if i % params["golden_stride"] == 0:
             start = time.perf_counter()
-            golden_result = golden.detect(window.to_dataset())
+            golden_result = golden.detect(snapshot)
             latencies["batch_golden"].append(time.perf_counter() - start)
             _assert_equal(
                 batch_result,
@@ -168,7 +155,6 @@ def run_bench(scale: str = "bench", write_json: bool = True) -> dict:
         "batch_golden": [],
         "batch_vectorized": [],
         "stream_exact": [],
-        "stream_incremental": [],
     }
     windows_compared = 0
     for anomaly_key, seed in params["scenarios"]:
@@ -189,14 +175,8 @@ def run_bench(scale: str = "bench", write_json: bool = True) -> dict:
             "stream_exact_vs_batch_golden": round(
                 golden_p50 / paths["stream_exact"]["p50_ms"], 2
             ),
-            "stream_incremental_vs_batch_golden": round(
-                golden_p50 / paths["stream_incremental"]["p50_ms"], 2
-            ),
             "stream_exact_vs_batch_vectorized": round(
                 batch_p50 / paths["stream_exact"]["p50_ms"], 2
-            ),
-            "stream_incremental_vs_batch_vectorized": round(
-                batch_p50 / paths["stream_incremental"]["p50_ms"], 2
             ),
         },
         "equivalent": True,  # _assert_equal would have raised otherwise
@@ -230,26 +210,15 @@ def _report(summary: dict) -> None:
 def _check(summary: dict) -> None:
     speedups = summary["speedup_p50"]
     assert summary["equivalent"]
-    # CI gate at every scale: the incremental path must never lose to
-    # re-running the vectorized batch detector.
-    assert speedups["stream_incremental_vs_batch_vectorized"] >= 1.0, (
-        f"incremental streaming slower than re-running the batch detector "
-        f"({speedups['stream_incremental_vs_batch_vectorized']}x)"
-    )
     if summary["scale"] == "bench":
-        for mode in ("stream_exact", "stream_incremental"):
-            ratio = speedups[f"{mode}_vs_batch_golden"]
-            assert ratio >= MIN_SPEEDUP_VS_GOLDEN, (
-                f"{mode} only {ratio}x faster than re-running the batch "
-                f"detector (floor {MIN_SPEEDUP_VS_GOLDEN}x)"
-            )
+        ratio = speedups["stream_exact_vs_batch_golden"]
+        assert ratio >= MIN_SPEEDUP_VS_GOLDEN, (
+            f"stream_exact only {ratio}x faster than re-running the batch "
+            f"detector (floor {MIN_SPEEDUP_VS_GOLDEN}x)"
+        )
         assert (
             speedups["stream_exact_vs_batch_vectorized"]
             >= MIN_EXACT_VS_BATCH
-        ), speedups
-        assert (
-            speedups["stream_incremental_vs_batch_vectorized"]
-            >= MIN_INCREMENTAL_VS_BATCH
         ), speedups
 
 

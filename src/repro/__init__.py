@@ -32,7 +32,7 @@ from repro.core import (
 )
 from repro.data import Dataset, Region, RegionSpec
 from repro.eval.harness import simulate_run
-from repro.stream import RingBufferWindow, StreamingDetector, StreamingDiagnoser
+from repro.stream import StreamingDetector, StreamingDiagnoser
 
 __all__ = [
     "DBSherlock",
@@ -50,7 +50,6 @@ __all__ = [
     "Dataset",
     "Region",
     "RegionSpec",
-    "RingBufferWindow",
     "StreamingDetector",
     "StreamingDiagnoser",
     "simulate_run",

@@ -277,11 +277,12 @@ class AnomalyDetector:
     ) -> DetectionResult:
         """Cluster the normalized attribute matrix and build the result.
 
-        Shared verbatim by :class:`repro.stream.StreamingDetector`, which
-        swaps only the attribute-selection stage for its incremental
-        Equation 4 trackers — everything downstream of selection runs
-        through this single code path, so batch and streaming results can
-        only diverge at selection.
+        Shared verbatim by streaming detection
+        (:func:`repro.fleet.fallout.cluster_window`), which swaps only the
+        attribute-selection stage for its running Equation 4 statistics —
+        everything downstream of selection runs through this single code
+        path, so batch and streaming results can only diverge at
+        selection.
         """
         n = matrix.shape[0]
         clusterer = DBSCAN(eps=None, min_pts=self.min_pts)

@@ -10,8 +10,8 @@ so they are drop-in replacements for the DBSCAN strategy inside
 
 For *online* detection over a live telemetry feed, use
 :class:`repro.stream.StreamingDetector` (re-exported here): it produces
-the same ``DetectionResult`` per tick from a ring-buffer window with
-incremental potential power instead of re-running a batch pass.
+the same ``DetectionResult`` per tick from a one-lane fleet arena, whose
+potential power updates per row instead of re-running a batch pass.
 """
 
 from repro.detect.strategies import (

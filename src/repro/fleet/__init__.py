@@ -5,13 +5,14 @@ The fleet subsystem scales the single-stream detection pipeline
 window in one columnar arena and running the per-tick numeric stages as
 dense numpy calls across the whole fleet — peeling off per-stream work
 (re-cluster, diagnose, WAL/checkpoint) only for streams whose verdict
-actually changed.  The engine is asserted bitwise-equal to N independent
-:class:`~repro.stream.detector.StreamingDetector` instances.
+actually changed.  It is the one streaming detector: the single-stream
+:class:`~repro.stream.detector.StreamingDetector` is a one-lane fleet.
 
 Layers, bottom up:
 
 * :mod:`repro.fleet.bank` — batched sorted-multiset order statistics;
 * :mod:`repro.fleet.arena` — the columnar ring + Equation 4 stats;
+* :mod:`repro.fleet.fallout` — per-stream re-cluster and region close;
 * :mod:`repro.fleet.engine` — the vectorized detector pipeline;
 * :mod:`repro.fleet.scheduler` — multi-tenant diagnosis scheduling,
   backpressure/shed policies, deadline tiers with degraded fallbacks,

@@ -1,28 +1,27 @@
 """Cross-stream columnar tick arena.
 
 All N tenants' current telemetry windows live in one contiguous
-``(streams, attributes, 2 × capacity)`` float64 ring — the same
-double-write layout as the single-stream
-:class:`~repro.stream.window.RingBufferWindow`, so any stream's window
-is always a zero-copy contiguous slice regardless of where its ring has
-wrapped.  Appending a fleet-wide tick and maintaining every lane's
-order statistics (overall median, trailing-``w`` median, buffer min/max,
-window-median extrema — everything Equation 4 needs) costs a fixed
-number of dense numpy calls over the whole fleet:
+``(streams, attributes, 2 × capacity)`` float64 ring with a double-write
+layout (every sample is written at its slot and at ``slot + capacity``),
+so any stream's window is always a zero-copy contiguous slice regardless
+of where its ring has wrapped.  Appending a fleet-wide tick and
+maintaining every lane's order statistics (overall median,
+trailing-``w`` median, buffer min/max, window-median extrema —
+everything Equation 4 needs) costs a fixed number of dense numpy calls
+over the whole fleet:
 
 * two :class:`~repro.fleet.bank.SortedWindowBank` updates (the whole
   buffer and the trailing ``w`` samples);
 * one scatter of the freshly completed window medians into a NaN-padded
   ``(streams, attributes, capacity − w + 1)`` FIFO ring, whose
-  ``fmin/fmax`` reduction reproduces the single-stream
-  :class:`~repro.stream.median.SlidingExtrema` over window medians
-  (min/max are order-independent, so ring rotation is immaterial).
+  ``fmin/fmax`` reduction gives the min/max over the window medians of
+  the retained rows (min/max are order-independent, so ring rotation
+  is immaterial).
 
-:class:`ArenaWindow` adapts one stream's slice of the arena to the
-read interface of :class:`~repro.stream.window.RingBufferWindow`
-(``timestamps`` / ``column`` / ``bounds`` / ``to_dataset``), which is
-what lets :func:`repro.stream.detector.cluster_window` run the
-identical clustering code over either storage.
+:class:`ArenaWindow` adapts one stream's slice of the arena to a
+telemetry-window read interface (``timestamps`` / ``column`` /
+``bounds`` / ``to_dataset``), which is what the clustering
+(:func:`repro.fleet.fallout.cluster_window`) and diagnosis code read.
 """
 
 from __future__ import annotations
@@ -86,8 +85,6 @@ class FleetArena:
         if window > capacity:
             raise ValueError("window must not exceed capacity")
         self.attributes = list(attributes)
-        if not self.attributes:
-            raise ValueError("arena needs at least one attribute")
         self.n_streams = int(n_streams)
         self.capacity = int(capacity)
         self.window = int(window)
@@ -127,13 +124,10 @@ class FleetArena:
         # the buffer row evicted from a full ring sits exactly at the
         # write slot, and the sample sliding out of the trailing window
         # (sequence ``appended − w``) is still retained because w ≤ cap.
-        evicted = np.take_along_axis(self._vals, slot[:, None, None], 2)[
-            :, :, 0
-        ]
+        streams = np.arange(S)
+        evicted = self._vals[streams, :, slot]
         w_slot = ((self.appended - self.window) % cap).astype(np.int64)
-        trailing_out = np.take_along_axis(
-            self._vals, w_slot[:, None, None], 2
-        )[:, :, 0]
+        trailing_out = self._vals[streams, :, w_slot]
 
         rows = np.nonzero(active)[0]
         wslots = slot[rows]
@@ -177,7 +171,7 @@ class FleetArena:
             span = maxs - mins
         # Power is zero while the buffer holds at most one full window,
         # when no window median exists yet, or for a constant lane —
-        # the _AttributeTracker.potential_power degenerate cases.
+        # the degenerate cases of the batch potential_power.
         live = (
             (self.sizes[:, None] > self.window)
             & ~np.isnan(med_min)
@@ -195,18 +189,17 @@ class FleetArena:
 
     # ------------------------------------------------------------------
     def view(self, stream: int) -> "ArenaWindow":
-        """A RingBufferWindow-compatible read view of one stream."""
+        """A telemetry-window read view of one stream."""
         return ArenaWindow(self, int(stream))
 
 
 class ArenaWindow:
     """Read adapter: one stream's arena slice as a telemetry window.
 
-    Implements the read surface of
-    :class:`~repro.stream.window.RingBufferWindow` (``n_rows``,
+    Implements a telemetry window's read surface (``n_rows``,
     ``timestamps``, ``column``, ``bounds``, ``to_dataset``, attribute
-    lists) over zero-copy arena views, so the shared clustering and
-    diagnosis code paths cannot tell the storages apart.
+    lists) over zero-copy arena views, so the clustering and diagnosis
+    code paths read it like a :class:`~repro.data.dataset.Dataset`.
     """
 
     __slots__ = ("_arena", "_stream")
@@ -280,6 +273,8 @@ class ArenaWindow:
             numeric={
                 a: self.column(a).copy() for a in self._arena.attributes
             },
-            categorical={},
+            categorical={
+                a: self.column(a).copy() for a in self.categorical_attributes
+            },
             name=name,
         )

@@ -1,17 +1,16 @@
 """Vectorized order statistics for thousands of lanes at once.
 
 The fleet engine needs, per *lane* (one ``(stream, attribute)`` pair),
-the same order statistics the single-stream
-:class:`~repro.stream.median._AttributeTracker` keeps with Python heaps
-and deques: the median of the retained buffer, the median of the
-trailing ``w`` samples, and the min/max of the buffer contents.  Running
-80 000 heap updates per tick in Python would dwarf the arithmetic; this
+the order statistics behind Equation 4: the median of the retained
+buffer, the median of the trailing ``w`` samples, and the min/max of the
+buffer contents.  Running 80 000 heap updates per tick in Python would
+dwarf the arithmetic; this
 module instead keeps every lane's buffer contents **sorted in one dense
 matrix** and performs the one-in/one-out update for all lanes with a
 fixed number of whole-matrix numpy operations:
 
-1. a batched binary search (``ceil(log2(C + 1))`` rounds of
-   ``take_along_axis``) finds each lane's delete position ``d`` (the
+1. a batched binary search (``ceil(log2(C + 1))`` rounds of one
+   gather each) finds each lane's delete position ``d`` (the
    leaving value's first occurrence — or the first +inf pad while the
    lane is still growing) and insert position ``i``;
 2. a single gather shifts exactly the elements between the two
@@ -21,11 +20,8 @@ fixed number of whole-matrix numpy operations:
 
 The resulting matrix is bitwise the sorted buffer contents, so lane
 medians — ``(S[(n-1)//2] + S[n//2]) / 2``, the exact ``np.median``
-reduction and therefore the exact
-:meth:`~repro.stream.median.SlidingMedian.median` — and lane min/max —
-``S[0]`` / ``S[n-1]``, what
-:class:`~repro.stream.median.SlidingExtrema` tracks — come out of a
-couple of ``take_along_axis`` gathers, amortized O(1) per lane per tick.
+reduction — and lane min/max — ``S[0]`` / ``S[n-1]`` — come out of a
+couple of gathers, amortized O(1) per lane per tick.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ class SortedWindowBank:
     no per-lane Python work.
     """
 
-    __slots__ = ("capacity", "counts", "_sorted", "_rounds", "_idx")
+    __slots__ = ("capacity", "counts", "_sorted", "_rounds", "_idx", "_rows")
 
     def __init__(self, lanes: int, capacity: int) -> None:
         if lanes < 0:
@@ -59,6 +55,7 @@ class SortedWindowBank:
         # enough halvings to pin down a position in [0, capacity]
         self._rounds = max(1, int(np.ceil(np.log2(self.capacity + 1))))
         self._idx = np.arange(self.capacity, dtype=np.int64)[None, :]
+        self._rows = np.arange(lanes)
 
     @property
     def lanes(self) -> int:
@@ -71,9 +68,9 @@ class SortedWindowBank:
         hi = np.full(lanes, self.capacity, dtype=np.int64)
         for _ in range(self._rounds):
             mid = (lo + hi) >> 1  # < capacity wherever lo < hi
-            probe = np.take_along_axis(
-                self._sorted, np.minimum(mid, self.capacity - 1)[:, None], 1
-            )[:, 0]
+            probe = self._sorted[
+                self._rows, np.minimum(mid, self.capacity - 1)
+            ]
             go_right = (lo < hi) & (probe < values)
             stay = (lo < hi) & ~go_right
             lo = np.where(go_right, mid + 1, lo)
@@ -123,7 +120,7 @@ class SortedWindowBank:
         gather = idx - shift_right.astype(np.int64) + shift_left.astype(np.int64)
         out = np.take_along_axis(S, gather, axis=1)
         final = np.where(active, values, S[:, 0])
-        np.put_along_axis(out, p[:, None], final[:, None], axis=1)
+        out[self._rows, p] = final
         self._sorted = out
         self.counts = self.counts + (active & ~full)
 
@@ -133,10 +130,8 @@ class SortedWindowBank:
         n = self.counts
         k1 = np.maximum((n - 1) // 2, 0)
         k2 = n // 2
-        a = np.take_along_axis(self._sorted, k1[:, None], 1)[:, 0]
-        b = np.take_along_axis(
-            self._sorted, np.minimum(k2, self.capacity - 1)[:, None], 1
-        )[:, 0]
+        a = self._sorted[self._rows, k1]
+        b = self._sorted[self._rows, np.minimum(k2, self.capacity - 1)]
         med = np.where(k1 == k2, a, (a + b) / 2.0)
         return np.where(n > 0, med, np.nan)
 
@@ -147,4 +142,4 @@ class SortedWindowBank:
     def maxs(self) -> np.ndarray:
         """Per-lane maximum (``+inf`` for empty lanes)."""
         last = np.maximum(self.counts - 1, 0)
-        return np.take_along_axis(self._sorted, last[:, None], 1)[:, 0]
+        return self._sorted[self._rows, last]

@@ -1,31 +1,32 @@
-"""Fleet tick engine: N streaming detectors as one vectorized pipeline.
+"""Fleet tick engine: the streaming detector, vectorized across streams.
 
-:class:`FleetDetector` is the cross-stream twin of
-:class:`~repro.stream.detector.StreamingDetector` in ``mode="exact"``.
-Every per-tick stage that the single-stream detector runs in Python —
-non-monotone drop, NaN sanitize, stuck-at quarantine, the incremental
-Equation 4 potential power, bounds, attribute selection — runs here as a
-handful of dense numpy calls over the whole fleet
+:class:`FleetDetector` is the repository's one implementation of the
+Section 7 detector fed a row per tick; the single-stream
+:class:`~repro.stream.detector.StreamingDetector` is a one-lane fleet.
+Every per-tick stage — non-monotone drop, NaN sanitize, stuck-at
+quarantine, the running Equation 4 potential power, bounds, attribute
+selection — runs as a handful of dense numpy calls over the whole fleet
 (:class:`~repro.fleet.arena.FleetArena`).  Only the *fallout* — DBSCAN
 re-clustering, region closing — is peeled off, and only for streams
 whose selected-attribute set is non-empty this tick.  With
 ``batch_fallout=True`` (the default) the whole fallout set runs through
 the batched storm kernels
-(:func:`~repro.stream.detector.cluster_windows_batch`,
-:func:`~repro.stream.detector.close_regions_batch`) — bitwise-equal to,
+(:func:`~repro.fleet.fallout.cluster_windows_batch`,
+:func:`~repro.fleet.fallout.close_regions_batch`) — bitwise-equal to,
 and asserted against, the serial per-stream path
-(:func:`~repro.stream.detector.cluster_window`,
-:func:`~repro.stream.detector.close_regions`,
+(:func:`~repro.fleet.fallout.cluster_window`,
+:func:`~repro.fleet.fallout.close_regions`,
 ``AnomalyDetector._cluster_and_mask``), which ``batch_fallout=False``
 still runs verbatim.
 
-The result is asserted bitwise-equal to running N independent
-``StreamingDetector`` instances on the same rows — verdicts, masks,
-regions, ε, quarantine sets, counters, and even
-:meth:`FleetDetector.stream_checkpoint`, which emits the exact
-``StreamingDetector.checkpoint()`` schema so per-tenant recovery rides
-the existing :class:`~repro.stream.wal.CheckpointStore` /
-:class:`~repro.stream.wal.TickWAL` machinery unchanged.
+Each lane's verdicts, masks, regions, ε, quarantine sets and counters
+are asserted against independent references: the batch
+:class:`~repro.core.anomaly.AnomalyDetector` on a window cut from the
+repaired rows, and a test-only ingest oracle for the repair rules.
+:meth:`FleetDetector.stream_checkpoint` emits the per-stream v1
+checkpoint schema, so per-tenant recovery rides the
+:class:`~repro.stream.wal.CheckpointStore` /
+:class:`~repro.stream.wal.TickWAL` machinery.
 
 **Lane bulkheads.**  The fallout stage is the only per-stream Python in
 the tick, and therefore the only place one tenant's pathological window
@@ -46,23 +47,32 @@ from __future__ import annotations
 import copy
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.core.anomaly import AnomalyDetector, DetectionResult
 from repro.data.regions import Region
-from repro.fleet.arena import ArenaWindow, FleetArena
-from repro.obs import metrics
-from repro.obs import trace
-from repro.stream.detector import (
+from repro.fleet.arena import FleetArena
+from repro.fleet.fallout import (
     close_regions,
     close_regions_batch,
     cluster_window,
     cluster_windows_batch,
 )
+from repro.obs import metrics
+from repro.obs import trace
 
-__all__ = ["FleetDetector", "FleetTick"]
+__all__ = ["FleetDetector", "FleetTick", "check_exact_checkpoint"]
+
+#: Checkpoint ``params`` keys that name knobs of the retired approximate
+#: re-cluster mode; they stay in the v1 schema at their old defaults so
+#: checkpoints remain byte-identical.
+_FORMAT_PARAMS = {
+    "mode": "exact",
+    "recluster_fraction": 0.05,
+    "bounds_drift": 0.02,
+}
 
 _FLEET_TICK_SECONDS = metrics.REGISTRY.histogram(
     "repro_fleet_tick_seconds",
@@ -162,24 +172,40 @@ class FleetTick:
         got = self.results.get(int(stream))
         if got is not None:
             return got
-        return DetectionResult(
-            mask=np.zeros(int(self.sizes[int(stream)]), dtype=bool),
-            regions=[],
-            selected_attributes=[],
-            eps=0.0,
+        return _empty_result(int(self.sizes[int(stream)]))
+
+
+def _empty_result(n_rows: int) -> DetectionResult:
+    """The verdict of a stream with nothing selected: all rows normal."""
+    return DetectionResult(
+        mask=np.zeros(n_rows, dtype=bool),
+        regions=[],
+        selected_attributes=[],
+        eps=0.0,
+    )
+
+
+def check_exact_checkpoint(state: Mapping[str, object]) -> None:
+    """Reject checkpoints of the retired approximate re-cluster mode."""
+    params = state.get("params") or {}
+    mode = params.get("mode", "exact")  # type: ignore[union-attr]
+    if mode != "exact" or state.get("cluster_state") is not None:
+        raise ValueError(
+            f"checkpoint of detector mode {mode!r} cannot be restored: "
+            "only mode='exact' is supported"
         )
 
 
 class FleetDetector:
     """N tenants' streaming detection as one columnar engine.
 
-    Parameters mirror :class:`~repro.stream.detector.StreamingDetector`
-    (always ``mode="exact"``); *attributes* fixes the shared column
-    schema up front, and *tracked* optionally restricts which attributes
-    participate in selection (the filter the single-stream detector
-    calls ``attributes``).  ``recluster_fraction`` / ``bounds_drift``
-    only exist so :meth:`stream_checkpoint` can round-trip a detector
-    configuration bit-for-bit.
+    Detection parameters mirror
+    :class:`~repro.core.anomaly.AnomalyDetector`; *attributes* fixes the
+    shared column schema up front, and *tracked* optionally restricts
+    which attributes participate in selection (the filter the
+    single-stream detector calls ``attributes``).  *quarantine_after*
+    and *quarantine_rel_epsilon* configure the stuck-at quarantine
+    (exact runs, or a rolling relative-variance floor).
     """
 
     CHECKPOINT_VERSION = 1
@@ -197,8 +223,6 @@ class FleetDetector:
         min_region_s: float = 5.0,
         gap_fill_s: float = 3.0,
         tracked: Optional[Sequence[str]] = None,
-        recluster_fraction: float = 0.05,
-        bounds_drift: float = 0.02,
         quarantine_after: Optional[int] = None,
         quarantine_rel_epsilon: Optional[float] = None,
         batch_fallout: bool = True,
@@ -214,8 +238,6 @@ class FleetDetector:
         )
         self.arena = FleetArena(n_streams, attributes, capacity, window)
         self.capacity = int(capacity)
-        self.recluster_fraction = float(recluster_fraction)
-        self.bounds_drift = float(bounds_drift)
         # Storm path: batch all fallout streams' re-clustering into the
         # grouped numpy kernels.  Runtime-only — deliberately absent from
         # _params() so checkpoints stay byte-identical either way.
@@ -350,14 +372,13 @@ class FleetDetector:
         """One fleet-wide tick: ingest, select, and peel off fallout.
 
         *times* is ``(streams,)``, *values* ``(streams, attrs)`` (NaN
-        cells allowed — they are sanitized exactly as the single-stream
-        detector does), *active* an optional mask of streams that have a
-        row this round (default: all).
+        cells allowed — they are sanitized, see :meth:`ingest`), *active*
+        an optional mask of streams that have a row this round (default:
+        all).
         """
         t0 = _time.perf_counter()
-        S, A = self.n_streams, len(self.arena.attributes)
+        S = self.n_streams
         times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
         present = (
             np.ones(S, dtype=bool)
             if active is None
@@ -376,38 +397,12 @@ class FleetDetector:
                 _FLEET_POISON_SKIPPED.inc(n_skipped)
             present = present & ~self.poisoned
 
-        # Stage 1 — drop non-monotone rows (before sanitize, exactly as
-        # StreamingDetector.observe does).
-        accepted = present & (times > self.last_time)
+        # Stages 1-4 — drop, sanitize, append, quarantine.
+        accepted = self.ingest(times, values, present)
         dropped = present & ~accepted
-        n_dropped = int(dropped.sum())
-        self.dropped_counts += dropped
-
-        # Stage 2 — sanitize: NaN cells take the attribute's last valid
-        # value (0.0 before any), valid cells refresh it.
-        nan_cells = np.isnan(values) & accepted[:, None]
-        clean = np.where(nan_cells, self._last_seen, values)
-        n_sanitized = nan_cells.sum(axis=1)
-        self.sanitized_counts += n_sanitized
-        valid = accepted[:, None] & ~np.isnan(values)
-        self._last_seen = np.where(valid, values, self._last_seen)
-        self._seen |= valid
-        self.last_time = np.where(accepted, times, self.last_time)
-        self._has_time |= accepted
-
-        # Stage 3 — append to the arena (banks, medring) fleet-wide.
-        self.arena.append(times, clean, accepted)
-
-        # Stage 4 — stuck-at quarantine on the sanitized values.
-        n_quarantined = self._update_quarantine(clean, accepted)
 
         # Stage 5 — Equation 4 + bounds as single whole-fleet calls.
-        stats = self.arena.stats()
-        selected = (
-            (stats.powers > self.batch.pp_threshold)
-            & self._tracked_mask[None, :]
-            & ~self.quarantined
-        )
+        stats, selected = self._select()
 
         # Stage 6 — per-stream fallout, only where something was selected.
         self.tick_counts += present
@@ -438,14 +433,7 @@ class FleetDetector:
                 try:
                     views = [self.arena.view(s) for s in streams]
                     selections = [
-                        [
-                            a
-                            for a, ai in zip(
-                                self._tracked, self._tracked_idx
-                            )
-                            if selected[s, ai]
-                        ]
-                        for s in streams
+                        self._lane_attrs(s, selected) for s in streams
                     ]
                     batch_results = cluster_windows_batch(
                         self.batch, views, selections
@@ -516,14 +504,6 @@ class FleetDetector:
         if n_present:
             _FLEET_STREAM_SECONDS.observe(elapsed / n_present)
             _FLEET_STREAM_TICKS.inc(n_present)
-        if n_dropped:
-            _FLEET_DROPPED.inc(n_dropped)
-        total_sanitized = int(n_sanitized.sum())
-        if total_sanitized:
-            _FLEET_SANITIZED.inc(total_sanitized)
-        if n_quarantined:
-            _FLEET_QUARANTINES.inc(n_quarantined)
-        if n_present:
             _FLEET_FALLOUT_STREAMS.observe(int(fallout.size))
         n_reclustered = int(reclustered.sum())
         if n_reclustered:
@@ -546,6 +526,91 @@ class FleetDetector:
             poisoned=self.poisoned.copy(),
             lane_errors=lane_errors,
         )
+
+    def ingest(
+        self, times: np.ndarray, values: np.ndarray, present: np.ndarray
+    ) -> np.ndarray:
+        """Stages 1-4 of a tick for the streams in *present*.
+
+        Rows whose timestamp does not advance are dropped (before
+        sanitize), NaN cells take the attribute's last valid value (0.0
+        before any), the sanitized rows are appended to the arena, and
+        the stuck-at quarantine is updated.  Returns the mask of streams
+        whose row was accepted.
+        """
+        times = np.asarray(times, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        accepted = present & (times > self.last_time)
+        dropped = present & ~accepted
+        self.dropped_counts += dropped
+
+        nan_cells = np.isnan(values) & accepted[:, None]
+        clean = np.where(nan_cells, self._last_seen, values)
+        n_sanitized = nan_cells.sum(axis=1)
+        self.sanitized_counts += n_sanitized
+        valid = accepted[:, None] & ~np.isnan(values)
+        self._last_seen = np.where(valid, values, self._last_seen)
+        self._seen |= valid
+        self.last_time = np.where(accepted, times, self.last_time)
+        self._has_time |= accepted
+
+        self.arena.append(times, clean, accepted)
+        n_quarantined = self._update_quarantine(clean, accepted)
+
+        n_dropped = int(dropped.sum())
+        if n_dropped:
+            _FLEET_DROPPED.inc(n_dropped)
+        total_sanitized = int(n_sanitized.sum())
+        if total_sanitized:
+            _FLEET_SANITIZED.inc(total_sanitized)
+        if n_quarantined:
+            _FLEET_QUARANTINES.inc(n_quarantined)
+        return accepted
+
+    def count_sanitized(self, stream: int, cells: int) -> None:
+        """Count *cells* repaired outside the numeric arena (the
+        single-stream detector's categorical columns)."""
+        self.sanitized_counts[int(stream)] += cells
+        _FLEET_SANITIZED.inc(cells)
+
+    def _select(self):
+        """Stage 5: whole-fleet stats and the selected-attribute mask."""
+        stats = self.arena.stats()
+        selected = (
+            (stats.powers > self.batch.pp_threshold)
+            & self._tracked_mask[None, :]
+            & ~self.quarantined
+        )
+        return stats, selected
+
+    def quarantined_attributes(self, stream: int) -> List[str]:
+        """Tracked attributes of *stream* currently quarantined."""
+        return self._lane_attrs(int(stream), self.quarantined)
+
+    def _lane_attrs(self, stream: int, selected: np.ndarray) -> List[str]:
+        return [
+            a
+            for a, ai in zip(self._tracked, self._tracked_idx)
+            if selected[stream, ai]
+        ]
+
+    def detect_stream(self, stream: int) -> DetectionResult:
+        """One stream's verdict on its current window, closing nothing.
+
+        Stages 5-6 for a single stream outside a fleet tick: counts the
+        tick and re-clusters when an attribute is selected, but leaves
+        the closed-region bookkeeping to the next :meth:`tick`.
+        """
+        s = int(stream)
+        self.tick_counts[s] += 1
+        n_rows = int(self.arena.sizes[s])
+        names = self._lane_attrs(s, self._select()[1]) if n_rows else []
+        if not names:
+            return _empty_result(n_rows)
+        result = cluster_window(self.batch, self.arena.view(s), names)
+        self.recluster_counts[s] += 1
+        _FLEET_RECLUSTERS.inc()
+        return result
 
     def _fallout_serial(
         self,
@@ -574,12 +639,9 @@ class FleetDetector:
                 view = self.arena.view(s)
                 if run_hook and self._lane_fault is not None:
                     self._lane_fault(s, view)
-                names = [
-                    a
-                    for a, ai in zip(self._tracked, self._tracked_idx)
-                    if selected[s, ai]
-                ]
-                res = cluster_window(self.batch, view, names)
+                res = cluster_window(
+                    self.batch, view, self._lane_attrs(s, selected)
+                )
                 regions, emitted = close_regions(
                     res.regions,
                     view.timestamps,
@@ -603,7 +665,8 @@ class FleetDetector:
     def _update_quarantine(
         self, clean: np.ndarray, accepted: np.ndarray
     ) -> int:
-        """Vectorized twin of ``StreamingDetector._update_quarantine``."""
+        """Stage 4: the exact stuck-run rule, or the rolling relative-
+        variance rule when ``quarantine_rel_epsilon`` is set."""
         if self.quarantine_after is None:
             return 0
         before = self.quarantined
@@ -637,7 +700,7 @@ class FleetDetector:
         return int((self.quarantined & ~before).sum())
 
     # ------------------------------------------------------------------
-    # Checkpoint interop with StreamingDetector
+    # Per-stream checkpoints (the v1 single-stream schema)
     # ------------------------------------------------------------------
     def _params(self) -> Dict[str, object]:
         return {
@@ -654,19 +717,16 @@ class FleetDetector:
                 if self._attr_filter is not None
                 else None
             ),
-            "mode": "exact",
-            "recluster_fraction": self.recluster_fraction,
-            "bounds_drift": self.bounds_drift,
+            **_FORMAT_PARAMS,
             "quarantine_after": self.quarantine_after,
             "quarantine_rel_epsilon": self.quarantine_rel_epsilon,
         }
 
     def stream_checkpoint(self, stream: int) -> Dict[str, object]:
-        """One stream's state in the exact ``StreamingDetector.checkpoint``
-        schema, so per-tenant recovery (``CheckpointStore`` + ``TickWAL``
-        + ``StreamingDetector.from_checkpoint``) works unchanged —
-        and so the equivalence suite can compare checkpoints
-        byte-for-byte against mirrored single-stream detectors.
+        """One stream's state in the v1 per-stream checkpoint schema
+        (``StreamingDetector.checkpoint``), so per-tenant recovery
+        (``CheckpointStore`` + ``TickWAL`` + ``from_checkpoints``) and
+        single-stream restore read the same files.
 
         A poisoned lane returns its frozen last-good checkpoint — the
         state captured the moment the bulkhead fired — so durable
@@ -727,9 +787,7 @@ class FleetDetector:
             "recluster_count": int(self.recluster_counts[s]),
             "dropped_ticks": int(self.dropped_counts[s]),
             "sanitized_values": int(self.sanitized_counts[s]),
-            "quarantined": sorted(
-                a for a in self._tracked if self.quarantined[s, ai_of[a]]
-            ),
+            "quarantined": sorted(self.quarantined_attributes(s)),
             "stuck_runs": stuck_runs,
             "recent_values": recent_values,
             "prev_value": prev_value,
@@ -771,8 +829,8 @@ class FleetDetector:
                 raise ValueError(
                     "fleet checkpoints must share one parameter set"
                 )
-        if params.get("mode") != "exact":
-            raise ValueError("fleet restore supports mode='exact' only")
+        for st in states:
+            check_exact_checkpoint(st)
         attrs = list(attributes) if attributes is not None else None
         if attrs is None:
             for st in states:
@@ -796,8 +854,6 @@ class FleetDetector:
             min_region_s=float(params["min_region_s"]),
             gap_fill_s=float(params["gap_fill_s"]),
             tracked=params.get("attributes"),
-            recluster_fraction=float(params["recluster_fraction"]),
-            bounds_drift=float(params["bounds_drift"]),
             quarantine_after=params.get("quarantine_after"),
             quarantine_rel_epsilon=params.get("quarantine_rel_epsilon"),
         )

@@ -1,0 +1,206 @@
+"""Fallout kernels: the per-stream stages after attribute selection.
+
+Only streams with a non-empty selected-attribute set leave the fleet's
+dense path (:mod:`repro.fleet.engine`); for them these functions run the
+Section 7 DBSCAN re-cluster and close the regions that can no longer
+grow.  :func:`cluster_window` and :func:`close_regions` are the serial
+per-stream path; :func:`cluster_windows_batch` and
+:func:`close_regions_batch` are the storm path, bitwise-equal to calling
+the serial functions stream by stream.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
+
+from repro.core.anomaly import AnomalyDetector, DetectionResult
+from repro.core.separation import normalize_values
+from repro.data.regions import Region
+
+__all__ = [
+    "close_regions",
+    "close_regions_batch",
+    "cluster_window",
+    "cluster_windows_batch",
+]
+
+
+def cluster_window(
+    batch: AnomalyDetector, window, selected: Sequence[str]
+) -> DetectionResult:
+    """Normalize *selected* columns of *window* and cluster them.
+
+    *window* only needs ``column(attr)`` and ``timestamps`` (an arena
+    view or a :class:`~repro.data.dataset.Dataset`); the clustering is
+    ``AnomalyDetector._cluster_and_mask``, the batch detector's own code
+    path, which is what makes streaming and batch outputs
+    bitwise-comparable.
+    """
+    matrix = np.column_stack(
+        [normalize_values(window.column(a)) for a in selected]
+    )
+    return batch._cluster_and_mask(matrix, window.timestamps, list(selected))
+
+
+def cluster_windows_batch(
+    batch: AnomalyDetector,
+    windows: Sequence[object],
+    selections: Sequence[Sequence[str]],
+) -> List[DetectionResult]:
+    """:func:`cluster_window` for many fallout streams in numpy passes.
+
+    The storm path: instead of normalizing, clustering, and smoothing
+    each stream's window in its own Python iteration, streams are
+    grouped by ``(n_rows, n_selected)`` shape (no padding — padding
+    would change the floating-point accumulation trees and break
+    bitwise equality), stacked into one ``(streams, rows, attrs)``
+    tensor per group, and pushed through batched normalization,
+    :func:`repro.cluster.dbscan.dbscan_labels_batch`, an offset-bincount
+    abnormal-cluster test, and
+    :func:`repro.core.anomaly.smooth_masks_batch`.  Cluster labels are
+    partitioned per stream by construction (each lane has its own
+    distance matrix and ε), so clusters never bleed across tenants.
+
+    Element ``i`` of the returned list is bitwise-identical to
+    ``cluster_window(batch, windows[i], selections[i])`` — the
+    batched-fallout equivalence tests assert it.  Streams
+    the batch kernels cannot express exactly (NaN cells, non-monotone
+    timestamps, empty windows) fall back to the serial function.
+    """
+    from repro.cluster.dbscan import NOISE, dbscan_labels_batch
+    from repro.core.anomaly import mask_runs_batch, smooth_masks_batch
+
+    count = len(windows)
+    results: List[Optional[DetectionResult]] = [None] * count
+    raws: List[Optional[np.ndarray]] = [None] * count
+    stamps: List[Optional[np.ndarray]] = [None] * count
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for i in range(count):
+        window = windows[i]
+        selected = list(selections[i])
+        ts = np.asarray(window.timestamps, dtype=np.float64)
+        n = ts.shape[0]
+        if n == 0 or not selected:
+            results[i] = cluster_window(batch, window, selected)
+            continue
+        raw = np.empty((n, len(selected)))
+        for j, attr in enumerate(selected):
+            raw[:, j] = window.column(attr)
+        if bool(np.isnan(raw).any()) or not bool(np.all(np.diff(ts) > 0)):
+            results[i] = cluster_window(batch, window, selected)
+            continue
+        raws[i] = raw
+        stamps[i] = ts
+        groups.setdefault((n, len(selected)), []).append(i)
+
+    for (n, _k), members in groups.items():
+        raw3 = np.stack([raws[i] for i in members])  # (G, n, k)
+        ts2 = np.stack([stamps[i] for i in members])  # (G, n)
+        # per-lane min/max scaling: the exact (v - lo) / span expression
+        # of normalize_values; constant lanes (span <= 0) become zeros
+        mins = raw3.min(axis=1)
+        maxs = raw3.max(axis=1)
+        spans = maxs - mins
+        degenerate = spans <= 0
+        safe = np.where(degenerate, 1.0, spans)
+        norm = (raw3 - mins[:, None, :]) / safe[:, None, :]
+        if bool(degenerate.any()):
+            norm[np.broadcast_to(degenerate[:, None, :], norm.shape)] = 0.0
+
+        labels, eps = dbscan_labels_batch(norm, batch.min_pts)
+        n_lanes = len(members)
+        # cluster sizes per lane via one offset bincount (stride n + 1
+        # because a lane can have at most n clusters, ids 0..n-1)
+        clustered = labels != NOISE
+        lane_idx, row_idx = np.nonzero(clustered)
+        counts = np.bincount(
+            lane_idx * (n + 1) + labels[lane_idx, row_idx],
+            minlength=n_lanes * (n + 1),
+        ).reshape(n_lanes, n + 1)
+        threshold = batch.cluster_fraction * n
+        size_of = np.take_along_axis(counts, np.maximum(labels, 0), axis=1)
+        mask = clustered & (size_of < threshold)
+        if batch.include_noise:
+            mask |= labels == NOISE
+
+        smoothed = smooth_masks_batch(
+            mask, ts2, batch.gap_fill_s, batch.min_region_s
+        )
+        regions_per: List[List[Region]] = [[] for _ in members]
+        lanes, starts, ends = mask_runs_batch(smoothed)
+        for g, s, e in zip(lanes.tolist(), starts.tolist(), ends.tolist()):
+            regions_per[g].append(
+                Region(float(ts2[g, s]), float(ts2[g, e]))
+            )
+        for g, i in enumerate(members):
+            results[i] = DetectionResult(
+                mask=smoothed[g].copy(),
+                regions=regions_per[g],
+                selected_attributes=list(selections[i]),
+                eps=float(eps[g]),
+            )
+    return results  # type: ignore[return-value]
+
+
+def close_regions(
+    regions: Sequence[Region],
+    timestamps: np.ndarray,
+    gap_fill_s: float,
+    emitted_ends: Set[float],
+) -> Tuple[List[Region], Set[float]]:
+    """Split off regions that can no longer be extended by future ticks.
+
+    A flagged region is *closed* once the unflagged gap between its end
+    and the window tail exceeds *gap_fill_s* — no future row can bridge
+    into it.  Each closed region is emitted exactly once, keyed by its
+    end timestamp (ends never shift; starts can, when eviction truncates
+    a region).  Returns ``(closed, emitted_ends)`` where the second
+    element is the pruned dedup set the caller should retain (keys whose
+    timestamps have left the buffer are dropped).
+    """
+    if len(timestamps) == 0:
+        return [], emitted_ends
+    tail = float(timestamps[-1])
+    oldest = float(timestamps[0])
+    emitted_ends = {e for e in emitted_ends if e >= oldest}
+    closed: List[Region] = []
+    for region in regions:
+        if tail - region.end > gap_fill_s and (
+            region.end not in emitted_ends
+        ):
+            emitted_ends.add(region.end)
+            closed.append(region)
+    return closed, emitted_ends
+
+
+def close_regions_batch(
+    region_lists: Sequence[Sequence[Region]],
+    timestamp_arrays: Sequence[np.ndarray],
+    gap_fill_s: float,
+    emitted_sets: Sequence[Set[float]],
+) -> Tuple[List[List[Region]], List[Set[float]]]:
+    """:func:`close_regions` across a fallout set in one call.
+
+    Streams with neither candidate regions nor retained dedup keys are
+    recognized up front (in a storm most fallout streams close nothing
+    on most ticks) — for them the serial function would only rebuild an
+    empty set, so the short-circuit returns identical state.  The rest
+    run through :func:`close_regions` unchanged.
+    """
+    closed_lists: List[List[Region]] = []
+    emitted_out: List[Set[float]] = []
+    for regions, timestamps, emitted in zip(
+        region_lists, timestamp_arrays, emitted_sets
+    ):
+        if not regions and not emitted:
+            closed_lists.append([])
+            emitted_out.append(emitted)
+            continue
+        closed, emitted = close_regions(
+            regions, timestamps, gap_fill_s, emitted
+        )
+        closed_lists.append(closed)
+        emitted_out.append(emitted)
+    return closed_lists, emitted_out

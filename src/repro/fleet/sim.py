@@ -14,8 +14,8 @@ non-monotone (replayed) timestamps, and stuck-at-constant attributes.
 Determinism: one :class:`numpy.random.Generator` seeded from
 ``np.random.SeedSequence(seed)`` drives everything, so a source with the
 same parameters replays the same fleet history — which is what lets the
-equivalence tests feed identical rows to the fleet engine and to
-mirrored single-stream detectors.
+equivalence tests feed identical rows to the fleet engine and to its
+per-stream references.
 """
 
 from __future__ import annotations

@@ -5,20 +5,16 @@ pipeline per call; for an always-on monitor fed one telemetry row per
 second that is an O(attrs × n × w log w) bill every tick.  This package
 keeps the pipeline's state resident instead:
 
-``window``    :class:`RingBufferWindow` — fixed-capacity telemetry window
-              with zero-copy column views and amortized-O(1) min/max
-              normalization bounds;
-``median``    :class:`SlidingMedian` / :class:`SlidingExtrema` — the
-              order-statistic structures behind the incremental
-              Equation 4;
-``detector``  :class:`StreamingDetector` — per-tick detection with an
-              exact mode (output identical to the batch detector on the
-              same window) and an incremental re-cluster mode;
-              :class:`StreamingDiagnoser` — hands newly-closed abnormal
-              regions to the ``DBSherlock`` diagnosis path;
+``detector``  :class:`StreamingDetector` — per-tick detection on one
+              stream, a one-lane :class:`~repro.fleet.engine.FleetDetector`
+              (output identical to the batch detector on the same
+              window); :class:`StreamingDiagnoser` — hands newly-closed
+              abnormal regions to the ``DBSherlock`` diagnosis path;
 ``supervisor`` :class:`StreamSupervisor` — crash recovery around the
               detector: periodic checkpoints, exponential-backoff
               restarts, replay-exact restore;
+``wal`` / ``durability``  write-ahead tick log, checkpoint store, and
+              degraded persistence modes;
 ``golden``    frozen seed implementations (loop Equation 4, dense-matrix
               DBSCAN), the equivalence ground truth and benchmark
               baseline.
@@ -29,15 +25,9 @@ from repro.stream.detector import (
     StreamingDiagnoser,
     StreamTick,
 )
-from repro.stream.median import SlidingExtrema, SlidingMedian
 from repro.stream.supervisor import StreamSupervisor, SupervisorReport
-from repro.stream.window import EvictedRow, RingBufferWindow
 
 __all__ = [
-    "EvictedRow",
-    "RingBufferWindow",
-    "SlidingExtrema",
-    "SlidingMedian",
     "StreamSupervisor",
     "StreamTick",
     "StreamingDetector",

@@ -1,327 +1,51 @@
-"""Online anomaly detection: the Section 7 pipeline at O(1)-ish per tick.
+"""Online anomaly detection for one telemetry stream: a one-lane fleet.
 
 The batch :class:`~repro.core.anomaly.AnomalyDetector` recomputes
 everything from scratch per call — Equation 4 costs O(n·w log w) per
-attribute, across all ~190 telemetry attributes, every tick.
-:class:`StreamingDetector` keeps the pipeline's state live instead:
+attribute, every tick.  :class:`StreamingDetector` keeps the Section 7
+pipeline's state live instead, and it does so by being a single-lane
+:class:`~repro.fleet.engine.FleetDetector`: the fleet's columnar arena
+holds the window and its order statistics (so the Equation 4 potential
+power and the Equation 2 bounds update in a few numpy calls per row),
+and attribute selection, DBSCAN re-clustering and region closing are the
+fleet's own stages.  There is one implementation of streaming detection;
+this module adds only what a single stream needs on top of it:
 
-* telemetry rows land in a :class:`~repro.stream.window.RingBufferWindow`;
-* each attribute owns an :class:`_AttributeTracker` — a whole-buffer
-  sliding median, a ``w``-sample sliding median producing the stream of
-  window medians, and monotonic extrema over those medians — so the
-  Equation 4 potential power updates in O(log n) per tick.  Powers are
-  computed in *raw* value space and divided by the normalization span:
-  normalization (Equation 2) is a monotone affine map, so
-  ``|med(norm) − med_w(norm)| = |med(raw) − med_w(raw)| / span``;
-* clustering + mask building runs through the *same*
-  ``AnomalyDetector._cluster_and_mask`` code path as the batch detector
-  (grid-indexed DBSCAN, cluster-fraction thresholding, temporal
-  smoothing), so in the default ``mode="exact"`` the per-tick
-  :class:`DetectionResult` is equal to ``AnomalyDetector.detect`` on the
-  identical window — the equivalence suite in ``tests/test_stream.py``
-  asserts mask, regions, selected attributes, and ε all match.
+* the telemetry schema is taken from the first row (later rows may miss
+  attributes — those cells are sanitized — or carry extra ones, which
+  are ignored);
+* categorical columns ride alongside the numeric arena, so the window
+  can be materialized as a full :class:`~repro.data.dataset.Dataset`
+  for diagnosis;
+* ``observe`` / ``detect`` keep ingesting and detecting separable, and
+  :meth:`StreamingDetector.checkpoint` writes the v1 schema the WAL and
+  recovery files depend on.
 
-``mode="incremental"`` additionally skips re-clustering while the ring
-buffer's membership is stable: a full re-cluster runs only when the
-selected-attribute set changes, the normalization bounds of a selected
-attribute drift enough to move ε, or more than ``recluster_fraction`` of
-the buffer has turned over.  Between re-clusters, new points inherit the
-abnormality of their nearest clustered neighbour within ε (noise when
-none), which is approximate but bounded by the re-cluster cadence.
-
-:class:`StreamingDiagnoser` closes the loop with the PR-1 diagnosis path:
+:class:`StreamingDiagnoser` closes the loop with the diagnosis path:
 when a flagged region can no longer be extended (the gap behind it
-exceeds ``gap_fill_s``), it is handed to ``DBSherlock.explain`` — which
-shares one :class:`~repro.perf.cache.LabeledSpaceCache` between predicate
-generation and ``CausalModelStore.rank``.
+exceeds ``gap_fill_s``), it is handed to ``DBSherlock.explain``.
 """
 
 from __future__ import annotations
 
-import time as _time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.anomaly import (
-    AnomalyDetector,
-    DetectionResult,
-    mask_to_regions,
-)
-from repro.core.separation import normalize_values
+from repro.core.anomaly import DetectionResult
 from repro.data.regions import Region, RegionSpec
-from repro.obs import metrics
-from repro.stream.median import SlidingExtrema, SlidingMedian
-from repro.stream.window import RingBufferWindow
+from repro.fleet.arena import ArenaWindow
+from repro.fleet.engine import FleetDetector, check_exact_checkpoint
 
 __all__ = [
     "StreamTick",
+    "StreamWindow",
     "StreamingDetector",
     "StreamingDiagnoser",
-    "cluster_window",
-    "cluster_windows_batch",
-    "close_regions",
-    "close_regions_batch",
 ]
 
-_TICK_SECONDS = metrics.REGISTRY.histogram(
-    "repro_stream_tick_seconds",
-    "Wall time of one StreamingDetector.tick (observe + detect + deltas)",
-)
-_RECLUSTERS = metrics.REGISTRY.counter(
-    "repro_stream_reclusters_total", "Full DBSCAN re-clusters"
-)
-_DROPPED = metrics.REGISTRY.counter(
-    "repro_stream_dropped_ticks_total",
-    "Rows discarded for non-monotone timestamps",
-)
-_SANITIZED = metrics.REGISTRY.counter(
-    "repro_stream_sanitized_values_total",
-    "NaN / missing telemetry cells repaired on ingest",
-)
-_QUARANTINES = metrics.REGISTRY.counter(
-    "repro_stream_quarantine_events_total",
-    "Attributes newly quarantined as stuck-at",
-)
-_CLOSED_REGIONS = metrics.REGISTRY.counter(
-    "repro_stream_closed_regions_total",
-    "Abnormal regions closed and handed to diagnosis",
-)
-
-
-def cluster_window(
-    batch: AnomalyDetector, window, selected: Sequence[str]
-) -> DetectionResult:
-    """Normalize *selected* columns of *window* and cluster them.
-
-    The single post-selection entry point shared by
-    :class:`StreamingDetector` and the fleet engine
-    (:mod:`repro.fleet.engine`): *window* only needs ``column(attr)`` and
-    ``timestamps``, so a :class:`~repro.stream.window.RingBufferWindow`
-    and an arena view are interchangeable here — both paths run the same
-    ``AnomalyDetector._cluster_and_mask`` on the same matrix, which is
-    what makes their outputs bitwise-comparable.
-    """
-    matrix = np.column_stack(
-        [normalize_values(window.column(a)) for a in selected]
-    )
-    return batch._cluster_and_mask(matrix, window.timestamps, list(selected))
-
-
-def cluster_windows_batch(
-    batch: AnomalyDetector,
-    windows: Sequence[object],
-    selections: Sequence[Sequence[str]],
-) -> List[DetectionResult]:
-    """:func:`cluster_window` for many fallout streams in numpy passes.
-
-    The storm path: instead of normalizing, clustering, and smoothing
-    each stream's window in its own Python iteration, streams are
-    grouped by ``(n_rows, n_selected)`` shape (no padding — padding
-    would change the floating-point accumulation trees and break
-    bitwise equality), stacked into one ``(streams, rows, attrs)``
-    tensor per group, and pushed through batched normalization,
-    :func:`repro.cluster.dbscan.dbscan_labels_batch`, an offset-bincount
-    abnormal-cluster test, and
-    :func:`repro.core.anomaly.smooth_masks_batch`.  Cluster labels are
-    partitioned per stream by construction (each lane has its own
-    distance matrix and ε), so clusters never bleed across tenants.
-
-    Element ``i`` of the returned list is bitwise-identical to
-    ``cluster_window(batch, windows[i], selections[i])`` — the
-    equivalence tests and the fleet bench mirrors assert it.  Streams
-    the batch kernels cannot express exactly (NaN cells, non-monotone
-    timestamps, empty windows) fall back to the serial function.
-    """
-    from repro.cluster.dbscan import NOISE, dbscan_labels_batch
-    from repro.core.anomaly import mask_runs_batch, smooth_masks_batch
-
-    count = len(windows)
-    results: List[Optional[DetectionResult]] = [None] * count
-    raws: List[Optional[np.ndarray]] = [None] * count
-    stamps: List[Optional[np.ndarray]] = [None] * count
-    groups: Dict[Tuple[int, int], List[int]] = {}
-    for i in range(count):
-        window = windows[i]
-        selected = list(selections[i])
-        ts = np.asarray(window.timestamps, dtype=np.float64)
-        n = ts.shape[0]
-        if n == 0 or not selected:
-            results[i] = cluster_window(batch, window, selected)
-            continue
-        raw = np.empty((n, len(selected)))
-        for j, attr in enumerate(selected):
-            raw[:, j] = window.column(attr)
-        if bool(np.isnan(raw).any()) or not bool(np.all(np.diff(ts) > 0)):
-            results[i] = cluster_window(batch, window, selected)
-            continue
-        raws[i] = raw
-        stamps[i] = ts
-        groups.setdefault((n, len(selected)), []).append(i)
-
-    for (n, _k), members in groups.items():
-        raw3 = np.stack([raws[i] for i in members])  # (G, n, k)
-        ts2 = np.stack([stamps[i] for i in members])  # (G, n)
-        # per-lane min/max scaling: the exact (v - lo) / span expression
-        # of normalize_values; constant lanes (span <= 0) become zeros
-        mins = raw3.min(axis=1)
-        maxs = raw3.max(axis=1)
-        spans = maxs - mins
-        degenerate = spans <= 0
-        safe = np.where(degenerate, 1.0, spans)
-        norm = (raw3 - mins[:, None, :]) / safe[:, None, :]
-        if bool(degenerate.any()):
-            norm[np.broadcast_to(degenerate[:, None, :], norm.shape)] = 0.0
-
-        labels, eps = dbscan_labels_batch(norm, batch.min_pts)
-        n_lanes = len(members)
-        # cluster sizes per lane via one offset bincount (stride n + 1
-        # because a lane can have at most n clusters, ids 0..n-1)
-        clustered = labels != NOISE
-        lane_idx, row_idx = np.nonzero(clustered)
-        counts = np.bincount(
-            lane_idx * (n + 1) + labels[lane_idx, row_idx],
-            minlength=n_lanes * (n + 1),
-        ).reshape(n_lanes, n + 1)
-        threshold = batch.cluster_fraction * n
-        size_of = np.take_along_axis(counts, np.maximum(labels, 0), axis=1)
-        mask = clustered & (size_of < threshold)
-        if batch.include_noise:
-            mask |= labels == NOISE
-
-        smoothed = smooth_masks_batch(
-            mask, ts2, batch.gap_fill_s, batch.min_region_s
-        )
-        regions_per: List[List[Region]] = [[] for _ in members]
-        lanes, starts, ends = mask_runs_batch(smoothed)
-        for g, s, e in zip(lanes.tolist(), starts.tolist(), ends.tolist()):
-            regions_per[g].append(
-                Region(float(ts2[g, s]), float(ts2[g, e]))
-            )
-        for g, i in enumerate(members):
-            results[i] = DetectionResult(
-                mask=smoothed[g].copy(),
-                regions=regions_per[g],
-                selected_attributes=list(selections[i]),
-                eps=float(eps[g]),
-            )
-    return results  # type: ignore[return-value]
-
-
-def close_regions(
-    regions: Sequence[Region],
-    timestamps: np.ndarray,
-    gap_fill_s: float,
-    emitted_ends: Set[float],
-) -> Tuple[List[Region], Set[float]]:
-    """Split off regions that can no longer be extended by future ticks.
-
-    A flagged region is *closed* once the unflagged gap between its end
-    and the window tail exceeds *gap_fill_s* — no future row can bridge
-    into it.  Each closed region is emitted exactly once, keyed by its
-    end timestamp (ends never shift; starts can, when eviction truncates
-    a region).  Returns ``(closed, emitted_ends)`` where the second
-    element is the pruned dedup set the caller should retain (keys whose
-    timestamps have left the buffer are dropped).
-    """
-    if len(timestamps) == 0:
-        return [], emitted_ends
-    tail = float(timestamps[-1])
-    oldest = float(timestamps[0])
-    emitted_ends = {e for e in emitted_ends if e >= oldest}
-    closed: List[Region] = []
-    for region in regions:
-        if tail - region.end > gap_fill_s and (
-            region.end not in emitted_ends
-        ):
-            emitted_ends.add(region.end)
-            closed.append(region)
-    return closed, emitted_ends
-
-
-def close_regions_batch(
-    region_lists: Sequence[Sequence[Region]],
-    timestamp_arrays: Sequence[np.ndarray],
-    gap_fill_s: float,
-    emitted_sets: Sequence[Set[float]],
-) -> Tuple[List[List[Region]], List[Set[float]]]:
-    """:func:`close_regions` across a fallout set in one call.
-
-    Streams with neither candidate regions nor retained dedup keys are
-    recognized up front (in a storm most fallout streams close nothing
-    on most ticks) — for them the serial function would only rebuild an
-    empty set, so the short-circuit returns identical state.  The rest
-    run through :func:`close_regions` unchanged.
-    """
-    closed_lists: List[List[Region]] = []
-    emitted_out: List[Set[float]] = []
-    for regions, timestamps, emitted in zip(
-        region_lists, timestamp_arrays, emitted_sets
-    ):
-        if not regions and not emitted:
-            closed_lists.append([])
-            emitted_out.append(emitted)
-            continue
-        closed, emitted = close_regions(
-            regions, timestamps, gap_fill_s, emitted
-        )
-        closed_lists.append(closed)
-        emitted_out.append(emitted)
-    return closed_lists, emitted_out
-
-
-class _AttributeTracker:
-    """Incremental Equation 4 state for one numeric attribute."""
-
-    __slots__ = ("window", "_overall", "_win_med", "_recent", "_med_extrema")
-
-    def __init__(self, window: int) -> None:
-        self.window = int(window)
-        self._overall = SlidingMedian()  # whole-buffer median
-        self._win_med = SlidingMedian()  # median of the trailing w samples
-        self._recent: Deque[float] = deque()  # the trailing w raw samples
-        self._med_extrema = SlidingExtrema()  # min/max of live window medians
-
-    def push(self, value: float, seq: int, oldest_seq: int) -> None:
-        """Ingest the sample with sequence number *seq*."""
-        self._overall.add(value)
-        self._recent.append(value)
-        self._win_med.add(value)
-        if len(self._recent) > self.window:
-            self._win_med.remove(self._recent.popleft())
-        if len(self._recent) == self.window:
-            # the window ending at *seq* is complete; key its median by
-            # the end sequence so expiry follows the buffer's oldest row
-            self._med_extrema.push(seq, self._win_med.median())
-        # a window median stays valid while its *start* row is retained:
-        # end seq ≥ oldest + w − 1
-        self._med_extrema.expire(oldest_seq + self.window - 1)
-
-    def evict(self, value: float) -> None:
-        """The buffer dropped *value* (its oldest row)."""
-        self._overall.remove(value)
-
-    def potential_power(self, lo: float, hi: float, n: int) -> float:
-        """Equation 4 over the current buffer, in normalized units.
-
-        Zero while the buffer holds at most one full window (the single
-        window median equals the overall median) or when the attribute is
-        constant (span 0 normalizes to all-zeros), matching the batch
-        :func:`~repro.core.anomaly.potential_power` degenerate cases.
-        """
-        if n <= self.window or len(self._med_extrema) == 0:
-            return 0.0
-        span = hi - lo
-        if span <= 0:
-            return 0.0
-        overall = self._overall.median()
-        deviation = max(
-            abs(overall - self._med_extrema.min()),
-            abs(overall - self._med_extrema.max()),
-        )
-        return deviation / span
+_ONE = np.ones(1, dtype=bool)
 
 
 @dataclass
@@ -337,69 +61,68 @@ class StreamTick:
     reclustered: bool = False
 
 
-class _ClusterState:
-    """Snapshot of the last full re-cluster (incremental mode)."""
+class StreamWindow(ArenaWindow):
+    """The detector's telemetry window: its arena lane plus categoricals.
 
-    __slots__ = (
-        "selected",
-        "eps",
-        "bounds",
-        "points",
-        "raw_flags",
-        "appended_at",
-        "reclustered_at",
-    )
+    Zero-copy ``timestamps`` / ``column`` views oldest first, numeric
+    ``bounds``, and ``to_dataset`` snapshots.  Categorical columns use
+    the arena's double-write layout, so their views are contiguous too.
+    """
 
-    def __init__(self, selected, eps, bounds, points, raw_flags, appended_at):
-        self.selected: Tuple[str, ...] = selected
-        self.eps: float = eps
-        self.bounds: Dict[str, Tuple[float, float]] = bounds
-        self.points: np.ndarray = points  # normalized rows at snapshot time
-        self.raw_flags: np.ndarray = raw_flags  # pre-smoothing abnormal flags
-        self.appended_at: int = appended_at  # window.appended at last sync
-        self.reclustered_at: int = appended_at  # ... at last full re-cluster
+    __slots__ = ("_categorical",)
+
+    def __init__(self, arena, categorical: Dict[str, np.ndarray]) -> None:
+        super().__init__(arena, 0)
+        self._categorical = categorical
+
+    @property
+    def full(self) -> bool:
+        return self.n_rows == self.capacity
+
+    @property
+    def categorical_attributes(self) -> List[str]:
+        return list(self._categorical)
+
+    def column(self, attr: str) -> np.ndarray:
+        buf = self._categorical.get(attr)
+        if buf is None:
+            return super().column(attr)
+        start = self._start()
+        return buf[start : start + self.n_rows]
 
 
 class StreamingDetector:
-    """Amortized-O(1)-per-tick automatic anomaly detection.
+    """Per-tick automatic anomaly detection on one telemetry stream.
 
     Parameters mirror :class:`~repro.core.anomaly.AnomalyDetector`; the
-    extras control the streaming machinery.
+    extras control the streaming machinery.  Every tick's
+    :class:`DetectionResult` equals ``AnomalyDetector.detect`` on the
+    same window (restricted to unquarantined attributes).
 
     Parameters
     ----------
     capacity:
-        Ring-buffer length — the detection window, in rows/seconds.
+        Window length — the detection window, in rows/seconds.
     attributes:
         Optional subset of numeric attributes to consider for selection
         (all numeric attributes are still buffered for diagnosis).
     mode:
-        ``"exact"`` re-clusters every tick (output identical to the batch
-        detector on the same window); ``"incremental"`` re-clusters only
-        on membership/ε drift and approximates in between.
-    recluster_fraction:
-        Incremental mode: force a re-cluster once this fraction of the
-        buffer has turned over since the last one.
-    bounds_drift:
-        Incremental mode: force a re-cluster when a selected attribute's
-        min/max moved by more than this fraction of its span (the
-        normalized geometry — and hence ε — has shifted).
+        Only ``"exact"`` (re-cluster on every tick with a selection);
+        kept so existing configurations and checkpoints still load.
     quarantine_after:
         Degraded telemetry: an attribute whose value has been *exactly*
         identical for this many consecutive ticks (a stuck-at counter) is
         quarantined — excluded from attribute selection until its value
         moves again.  ``None`` (default) disables quarantine.
     quarantine_rel_epsilon:
-        Variance-based quarantine: instead of requiring *exact* equality,
-        quarantine an attribute whose rolling ``quarantine_after``-tick
-        standard deviation falls to or below this fraction of the
-        window's mean magnitude — catching stuck-at sensors that jitter
-        in the low bits.  Requires ``quarantine_after`` (the window
-        length).  ``None`` (default) keeps the exact-equality rule, so
-        existing configurations behave identically.
+        Variance-based quarantine: quarantine an attribute whose rolling
+        ``quarantine_after``-tick standard deviation falls to or below
+        this fraction of the window's mean magnitude — catching stuck-at
+        sensors that jitter in the low bits.  Requires
+        ``quarantine_after``.  ``None`` (default) keeps the exact rule.
     """
 
-    CHECKPOINT_VERSION = 1
+    CHECKPOINT_VERSION = FleetDetector.CHECKPOINT_VERSION
 
     def __init__(
         self,
@@ -413,95 +136,82 @@ class StreamingDetector:
         gap_fill_s: float = 3.0,
         attributes: Optional[Sequence[str]] = None,
         mode: str = "exact",
-        recluster_fraction: float = 0.05,
-        bounds_drift: float = 0.02,
         quarantine_after: Optional[int] = None,
         quarantine_rel_epsilon: Optional[float] = None,
     ) -> None:
-        if mode not in ("exact", "incremental"):
-            raise ValueError("mode must be 'exact' or 'incremental'")
-        if capacity < 2:
-            raise ValueError("capacity must be at least 2")
+        if mode != "exact":
+            raise ValueError(f"unsupported mode {mode!r}: only 'exact'")
         self.capacity = int(capacity)
-        self.mode = mode
-        self.recluster_fraction = float(recluster_fraction)
-        self.bounds_drift = float(bounds_drift)
-        self._attr_filter = list(attributes) if attributes is not None else None
-        # the batch twin: supplies _cluster_and_mask / _smooth_mask so the
-        # post-selection pipeline is literally the same code
-        self.batch = AnomalyDetector(
-            window=window,
+        self._fleet_kw = dict(
+            capacity=self.capacity,
+            # a window wider than the buffer never completes, so nothing
+            # is ever selected — exactly what window == capacity gives
+            window=min(window, self.capacity),
             pp_threshold=pp_threshold,
             min_pts=min_pts,
             cluster_fraction=cluster_fraction,
             include_noise=include_noise,
             min_region_s=min_region_s,
             gap_fill_s=gap_fill_s,
+            tracked=list(attributes) if attributes is not None else None,
+            quarantine_after=quarantine_after,
+            quarantine_rel_epsilon=quarantine_rel_epsilon,
         )
-        self.quarantine_after = (
-            int(quarantine_after) if quarantine_after is not None else None
-        )
-        if self.quarantine_after is not None and self.quarantine_after < 2:
-            raise ValueError("quarantine_after must be at least 2")
-        self.quarantine_rel_epsilon = (
-            float(quarantine_rel_epsilon)
-            if quarantine_rel_epsilon is not None
-            else None
-        )
-        if self.quarantine_rel_epsilon is not None:
-            if self.quarantine_rel_epsilon < 0:
-                raise ValueError("quarantine_rel_epsilon must be >= 0")
-            if self.quarantine_after is None:
-                raise ValueError(
-                    "quarantine_rel_epsilon requires quarantine_after "
-                    "(the rolling-window length)"
-                )
-        self._window: Optional[RingBufferWindow] = None
-        self._trackers: Dict[str, _AttributeTracker] = {}
-        self._tracked: List[str] = []
-        self._cluster_state: Optional[_ClusterState] = None
-        self._emitted_ends: Set[float] = set()
-        self.recluster_count = 0
-        self.tick_count = 0
-        # degraded-telemetry bookkeeping
-        self.dropped_ticks = 0  # non-monotone timestamps discarded
-        self.sanitized_values = 0  # NaN / missing cells repaired
-        self.quarantined: Set[str] = set()  # stuck-at attributes
-        self._last_time: Optional[float] = None
-        self._last_seen: Dict[str, float] = {}  # last valid value per attr
-        self._last_cat: Dict[str, str] = {}  # last seen category per attr
-        self._stuck_runs: Dict[str, int] = {}  # consecutive-identical runs
-        self._prev_value: Dict[str, float] = {}  # previous tick's value
-        self._recent_values: Dict[str, Deque[float]] = {}  # variance windows
+        # until the first row fixes the schema, a column-less lane keeps
+        # the counters (and validates the parameters)
+        self._fleet = FleetDetector(1, [], **self._fleet_kw)
+        self._params = dict(self._fleet._params(), window=window)
+        self._categorical: Optional[Dict[str, np.ndarray]] = None
+        self._last_cat: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     @property
-    def window(self) -> Optional[RingBufferWindow]:
-        """The live telemetry ring buffer (None before the first row)."""
-        return self._window
+    def window(self) -> Optional[StreamWindow]:
+        """The live telemetry window (None before the first row)."""
+        if self._categorical is None:
+            return None
+        return StreamWindow(self._fleet.arena, self._categorical)
 
-    def _ensure_window(
+    @property
+    def tick_count(self) -> int:
+        return int(self._fleet.tick_counts[0])
+
+    @property
+    def recluster_count(self) -> int:
+        return int(self._fleet.recluster_counts[0])
+
+    @property
+    def dropped_ticks(self) -> int:
+        """Rows discarded for non-monotone timestamps."""
+        return int(self._fleet.dropped_counts[0])
+
+    @property
+    def sanitized_values(self) -> int:
+        """NaN / missing cells repaired on ingest."""
+        return int(self._fleet.sanitized_counts[0])
+
+    @property
+    def quarantined(self) -> Set[str]:
+        """Attributes currently quarantined as stuck-at."""
+        return set(self._fleet.quarantined_attributes(0))
+
+    def _fix_schema(
         self,
         numeric_row: Mapping[str, float],
         categorical_row: Optional[Mapping[str, str]],
-    ) -> RingBufferWindow:
-        if self._window is None:
-            self._window = RingBufferWindow(
-                self.capacity,
-                numeric=list(numeric_row),
-                categorical=list(categorical_row or {}),
-            )
-            self._tracked = (
-                [a for a in self._attr_filter if a in numeric_row]
-                if self._attr_filter is not None
-                else list(numeric_row)
-            )
-            self._trackers = {
-                attr: _AttributeTracker(self.batch.window)
-                for attr in self._tracked
-            }
-        return self._window
+    ) -> None:
+        numeric = list(numeric_row)
+        categorical = list(categorical_row or {})
+        if not numeric and not categorical:
+            raise ValueError("window needs at least one attribute")
+        ticks = self._fleet.tick_counts
+        self._fleet = FleetDetector(1, numeric, **self._fleet_kw)
+        self._fleet.tick_counts[:] = ticks
+        self._categorical = {
+            a: np.empty(2 * self.capacity, dtype=object) for a in categorical
+        }
 
+    # ------------------------------------------------------------------
     def observe(
         self,
         time: float,
@@ -516,159 +226,41 @@ class StreamingDetector:
         value (``sanitized_values``), and exactly-constant runs feed the
         stuck-at quarantine.  Returns ``True`` when the row was ingested.
         """
-        time = float(time)
-        if self._last_time is not None and time <= self._last_time:
-            self.dropped_ticks += 1
-            _DROPPED.inc()
-            return False
-        numeric_row, categorical_row = self._sanitize_row(
-            numeric_row, categorical_row
-        )
-        self._last_time = time
-        self._ingest(time, numeric_row, categorical_row)
-        self._update_quarantine(numeric_row)
-        return True
+        times, values = self._lane_row(time, numeric_row, categorical_row)
+        accepted = bool(self._fleet.ingest(times, values, _ONE)[0])
+        if accepted and self._categorical:
+            self._append_categorical(categorical_row or {})
+        return accepted
 
-    def _sanitize_row(
-        self,
-        numeric_row: Mapping[str, float],
-        categorical_row: Optional[Mapping[str, str]],
-    ) -> Tuple[Dict[str, float], Dict[str, str]]:
-        """Repair NaN / missing cells against the window's schema."""
-        if self._window is not None:
-            numeric_attrs = self._window.numeric_attributes
-            categorical_attrs = self._window.categorical_attributes
-        else:
-            numeric_attrs = list(numeric_row)
-            categorical_attrs = list(categorical_row or {})
-        clean_numeric: Dict[str, float] = {}
-        for attr in numeric_attrs:
-            value = numeric_row.get(attr)
-            if value is None or np.isnan(value):
-                clean_numeric[attr] = self._last_seen.get(attr, 0.0)
-                self.sanitized_values += 1
-                _SANITIZED.inc()
-            else:
-                value = float(value)
-                clean_numeric[attr] = value
-                self._last_seen[attr] = value
-        raw_cat = categorical_row or {}
-        clean_cat: Dict[str, str] = {}
-        for attr in categorical_attrs:
-            if attr in raw_cat:
-                clean_cat[attr] = raw_cat[attr]
-                self._last_cat[attr] = raw_cat[attr]
-            else:
-                clean_cat[attr] = self._last_cat.get(attr, "")
-                self.sanitized_values += 1
-                _SANITIZED.inc()
-        return clean_numeric, clean_cat
-
-    def _quarantine(self, attr: str) -> None:
-        if attr not in self.quarantined:
-            self.quarantined.add(attr)
-            _QUARANTINES.inc()
-
-    def _update_quarantine(self, numeric_row: Mapping[str, float]) -> None:
-        if self.quarantine_after is None:
-            return
-        if self.quarantine_rel_epsilon is not None:
-            self._update_variance_quarantine(numeric_row)
-            return
-        for attr in self._tracked:
-            value = numeric_row[attr]
-            if self._prev_value.get(attr) == value:
-                run = self._stuck_runs.get(attr, 1) + 1
-                self._stuck_runs[attr] = run
-                if run >= self.quarantine_after:
-                    self._quarantine(attr)
-            else:
-                self._stuck_runs[attr] = 1
-                self.quarantined.discard(attr)
-            self._prev_value[attr] = value
-
-    def _update_variance_quarantine(
-        self, numeric_row: Mapping[str, float]
-    ) -> None:
-        """Quarantine attributes whose rolling window is (near-)flat.
-
-        An exactly-stuck counter has zero variance, but a dying sensor
-        often jitters in the low bits; the relative-epsilon floor treats
-        ``std <= rel_epsilon * |mean|`` as stuck too.  Release follows
-        the same statistic, so a recovered sensor rejoins selection as
-        soon as its window shows real movement.
-        """
-        assert self.quarantine_after is not None
-        for attr in self._tracked:
-            buf = self._recent_values.get(attr)
-            if buf is None:
-                buf = deque(maxlen=self.quarantine_after)
-                self._recent_values[attr] = buf
-            buf.append(float(numeric_row[attr]))
-            if len(buf) < self.quarantine_after:
-                continue
-            arr = np.asarray(buf, dtype=np.float64)
-            scale = max(abs(float(arr.mean())), 1e-12)
-            if float(arr.std()) <= self.quarantine_rel_epsilon * scale:
-                self._quarantine(attr)
-            else:
-                self.quarantined.discard(attr)
-
-    def _ingest(
+    def _lane_row(
         self,
         time: float,
         numeric_row: Mapping[str, float],
         categorical_row: Optional[Mapping[str, str]],
-    ) -> None:
-        """Append a sanitized row to the window and trackers."""
-        window = self._ensure_window(numeric_row, categorical_row)
-        evicted = window.append(time, numeric_row, categorical_row)
-        if evicted is not None:
-            for attr in self._tracked:
-                self._trackers[attr].evict(evicted.numeric[attr])
-        oldest = window.oldest_seq
-        seq = window.appended - 1
-        for attr in self._tracked:
-            self._trackers[attr].push(
-                float(numeric_row[attr]), seq, oldest
-            )
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The row as one-lane fleet input (missing cells become NaN)."""
+        if self._categorical is None:
+            self._fix_schema(numeric_row, categorical_row)
+        attrs = self._fleet.arena.attributes
+        values = [[numeric_row.get(a) for a in attrs]]
+        return np.array([float(time)]), np.array(values, dtype=np.float64)
 
-    # ------------------------------------------------------------------
-    def _select(self) -> List[str]:
-        """Attributes whose incremental potential power clears PPt."""
-        assert self._window is not None
-        n = self._window.n_rows
-        selected = []
-        for attr in self._tracked:
-            if attr in self.quarantined:
-                continue
-            lo, hi = self._window.bounds(attr)
-            power = self._trackers[attr].potential_power(lo, hi, n)
-            if power > self.batch.pp_threshold:
-                selected.append(attr)
-        return selected
-
-    def _empty_result(self) -> DetectionResult:
-        n = self._window.n_rows if self._window is not None else 0
-        return DetectionResult(
-            mask=np.zeros(n, dtype=bool),
-            regions=[],
-            selected_attributes=[],
-            eps=0.0,
-        )
+    def _append_categorical(self, row: Mapping[str, str]) -> None:
+        slot = (int(self._fleet.arena.appended[0]) - 1) % self.capacity
+        missing = 0
+        for attr, buf in self._categorical.items():
+            if attr in row:
+                value = self._last_cat[attr] = row[attr]
+            else:
+                value = self._last_cat.get(attr, "")
+                missing += 1
+            buf[slot] = buf[slot + self.capacity] = value
+        if missing:
+            self._fleet.count_sanitized(0, missing)
 
     def detect(self) -> DetectionResult:
         """Run detection on the current window contents."""
-        self.tick_count += 1
-        if self._window is None or self._window.n_rows == 0:
-            return self._empty_result()
-        selected = self._select()
-        if not selected:
-            self._cluster_state = None
-            return self._empty_result()
-        if self.mode == "exact":
-            return self._full_cluster(selected)
-        return self._incremental_cluster(selected)
+        return self._fleet.detect_stream(0)
 
     def tick(
         self,
@@ -676,201 +268,45 @@ class StreamingDetector:
         numeric_row: Mapping[str, float],
         categorical_row: Optional[Mapping[str, str]] = None,
     ) -> StreamTick:
-        """Ingest one row, detect, and emit deltas."""
-        t0 = _time.perf_counter()
-        self.observe(time, numeric_row, categorical_row)
-        before = self.recluster_count
-        result = self.detect()
-        closed = self._closed_regions(result)
-        _TICK_SECONDS.observe(_time.perf_counter() - t0)
-        if closed:
-            _CLOSED_REGIONS.inc(len(closed))
+        """Ingest one row, detect, and emit newly closed regions."""
+        times, values = self._lane_row(time, numeric_row, categorical_row)
+        fleet = self._fleet
+        out = fleet.tick(times, values)
+        if out.lane_errors:
+            # one lane has no neighbours to shield: surface the failure
+            fleet.unpoison(0)
+            raise RuntimeError(out.lane_errors[0])
+        if out.accepted[0] and self._categorical:
+            self._append_categorical(categorical_row or {})
         return StreamTick(
             time=float(time),
-            result=result,
-            closed_regions=closed,
-            reclustered=self.recluster_count > before,
-        )
-
-    # ------------------------------------------------------------------
-    def _full_cluster(self, selected: List[str]) -> DetectionResult:
-        assert self._window is not None
-        window = self._window
-        result = cluster_window(self.batch, window, selected)
-        self.recluster_count += 1
-        _RECLUSTERS.inc()
-        if self.mode == "incremental":
-            raw = self._raw_flags(result)
-            points = np.column_stack(
-                [normalize_values(window.column(a)) for a in selected]
-            )
-            self._cluster_state = _ClusterState(
-                selected=tuple(selected),
-                eps=result.eps,
-                bounds={a: window.bounds(a) for a in selected},
-                points=points,
-                raw_flags=raw,
-                appended_at=window.appended,
-            )
-        return result
-
-    def _raw_flags(self, result: DetectionResult) -> np.ndarray:
-        """Recover pre-smoothing abnormality flags from a fresh result.
-
-        The smoothed mask is what the result carries; for the incremental
-        carry-forward we re-derive per-point flags from the smoothed mask
-        itself — smoothing is idempotent, so re-smoothing these flags on a
-        slid window reproduces the batch behaviour up to boundary effects.
-        """
-        return result.mask.copy()
-
-    def _incremental_cluster(self, selected: List[str]) -> DetectionResult:
-        assert self._window is not None
-        window = self._window
-        state = self._cluster_state
-        if state is None or tuple(selected) != state.selected:
-            return self._full_cluster(selected)
-        since_recluster = window.appended - state.reclustered_at
-        if since_recluster >= max(
-            1, int(self.recluster_fraction * self.capacity)
-        ):
-            return self._full_cluster(selected)
-        turned_over = window.appended - state.appended_at
-        for attr in selected:
-            lo0, hi0 = state.bounds[attr]
-            span0 = max(hi0 - lo0, 1e-12)
-            lo, hi = window.bounds(attr)
-            if (
-                abs(lo - lo0) > self.bounds_drift * span0
-                or abs(hi - hi0) > self.bounds_drift * span0
-            ):
-                return self._full_cluster(selected)
-
-        # carry the previous clustering forward: drop evicted rows, then
-        # flag each new row by its nearest clustered neighbour within ε
-        n = window.n_rows
-        evicted = max(state.raw_flags.shape[0] + turned_over - n, 0)
-        flags = state.raw_flags[evicted:]
-        points = state.points[evicted:] if evicted else state.points
-        new_rows = n - flags.shape[0]
-        if new_rows > 0:
-            lows = np.asarray([state.bounds[a][0] for a in selected])
-            spans = np.asarray(
-                [max(state.bounds[a][1] - state.bounds[a][0], 1e-12)
-                 for a in selected]
-            )
-            fresh = np.column_stack(
-                [window.column(a)[-new_rows:] for a in selected]
-            )
-            fresh = (fresh - lows[None, :]) / spans[None, :]
-            new_flags = np.empty(new_rows, dtype=bool)
-            for row in range(new_rows):
-                d = np.sqrt(
-                    np.maximum(
-                        np.sum((points - fresh[row]) ** 2, axis=1), 0.0
-                    )
-                )
-                j = int(np.argmin(d)) if d.size else -1
-                if j < 0 or d[j] > state.eps:
-                    # density outlier: noise
-                    new_flags[row] = self.batch.include_noise
-                else:
-                    new_flags[row] = bool(flags[j]) if j < flags.shape[0] else False
-                points = np.vstack([points, fresh[row : row + 1]])
-                flags = np.append(flags, new_flags[row])
-            state.points = points
-            state.raw_flags = flags
-            state.appended_at = window.appended
-        mask = self.batch._smooth_mask(flags.copy(), window.timestamps)
-        return DetectionResult(
-            mask=mask,
-            regions=mask_to_regions(window.timestamps, mask),
-            selected_attributes=list(selected),
-            eps=state.eps,
+            result=out.result(0),
+            closed_regions=out.closed.get(0, []),
+            reclustered=bool(out.reclustered[0]),
         )
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
     # ------------------------------------------------------------------
-    def _params(self) -> Dict[str, object]:
-        return {
-            "capacity": self.capacity,
-            "window": self.batch.window,
-            "pp_threshold": self.batch.pp_threshold,
-            "min_pts": self.batch.min_pts,
-            "cluster_fraction": self.batch.cluster_fraction,
-            "include_noise": self.batch.include_noise,
-            "min_region_s": self.batch.min_region_s,
-            "gap_fill_s": self.batch.gap_fill_s,
-            "attributes": self._attr_filter,
-            "mode": self.mode,
-            "recluster_fraction": self.recluster_fraction,
-            "bounds_drift": self.bounds_drift,
-            "quarantine_after": self.quarantine_after,
-            "quarantine_rel_epsilon": self.quarantine_rel_epsilon,
-        }
-
     def checkpoint(self) -> Dict[str, object]:
-        """Serialize the full detector state as a JSON-able dict.
+        """Serialize the full detector state as a JSON-able dict (v1).
 
         :meth:`from_checkpoint` rebuilds a detector whose subsequent
         output is bit-identical to the uninterrupted one: the retained
         window rows are stored with their original sequence numbers and
-        replayed through fresh trackers on restore — every live order
-        statistic (sliding medians, extrema deques) depends only on the
-        retained rows, so replay reconstructs it exactly.
+        replayed into a fresh arena on restore — every live order
+        statistic depends only on the retained rows.
         """
-        state: Dict[str, object] = {
-            "version": self.CHECKPOINT_VERSION,
-            "params": self._params(),
-            "tick_count": self.tick_count,
-            "recluster_count": self.recluster_count,
-            "dropped_ticks": self.dropped_ticks,
-            "sanitized_values": self.sanitized_values,
-            "quarantined": sorted(self.quarantined),
-            "stuck_runs": dict(self._stuck_runs),
-            "recent_values": {
-                a: [float(v) for v in buf]
-                for a, buf in self._recent_values.items()
-            },
-            "prev_value": dict(self._prev_value),
-            "last_seen": dict(self._last_seen),
-            "last_cat": dict(self._last_cat),
-            "last_time": self._last_time,
-            "emitted_ends": sorted(self._emitted_ends),
-            "window": None,
-            "cluster_state": None,
-        }
-        if self._window is not None:
-            w = self._window
-            state["window"] = {
-                "appended": int(w.appended),
-                "numeric_attrs": w.numeric_attributes,
-                "categorical_attrs": w.categorical_attributes,
-                "tracked": list(self._tracked),
-                "timestamps": [float(t) for t in w.timestamps],
-                "numeric": {
-                    a: [float(v) for v in w.column(a)]
-                    for a in w.numeric_attributes
-                },
-                "categorical": {
-                    a: [str(v) for v in w.column(a)]
-                    for a in w.categorical_attributes
-                },
-            }
-        cs = self._cluster_state
-        if cs is not None:
-            state["cluster_state"] = {
-                "selected": list(cs.selected),
-                "eps": float(cs.eps),
-                "bounds": {
-                    a: [float(lo), float(hi)]
-                    for a, (lo, hi) in cs.bounds.items()
-                },
-                "points": [[float(x) for x in row] for row in cs.points],
-                "raw_flags": [bool(f) for f in cs.raw_flags],
-                "appended_at": int(cs.appended_at),
-                "reclustered_at": int(cs.reclustered_at),
+        state = self._fleet.stream_checkpoint(0)
+        state["params"] = dict(self._params)
+        state["last_cat"] = dict(self._last_cat)
+        win = state["window"]
+        if win is not None:
+            view = self.window
+            win["categorical_attrs"] = view.categorical_attributes
+            win["categorical"] = {
+                a: [str(v) for v in view.column(a)]
+                for a in view.categorical_attributes
             }
         return state
 
@@ -883,94 +319,35 @@ class StreamingDetector:
                 f"unsupported checkpoint version {version!r} "
                 f"(expected {cls.CHECKPOINT_VERSION})"
             )
+        check_exact_checkpoint(state)
         params = dict(state["params"])  # type: ignore[arg-type]
+        for key in ("recluster_fraction", "bounds_drift"):
+            params.pop(key, None)
         detector = cls(**params)
+        lane = dict(state)
+        lane["params"] = dict(
+            state["params"], window=detector._fleet_kw["window"]
+        )
         win = state.get("window")
-        if win is not None:
-            n_rows = len(win["timestamps"])
-            detector._window = RingBufferWindow(
-                detector.capacity,
-                numeric=win["numeric_attrs"],
-                categorical=win["categorical_attrs"],
-                start_seq=int(win["appended"]) - n_rows,
-            )
-            detector._tracked = list(win["tracked"])
-            detector._trackers = {
-                attr: _AttributeTracker(detector.batch.window)
-                for attr in detector._tracked
-            }
-            numeric_attrs = list(win["numeric_attrs"])
-            categorical_attrs = list(win["categorical_attrs"])
-            for i in range(n_rows):
-                detector._ingest(
-                    float(win["timestamps"][i]),
-                    {a: float(win["numeric"][a][i]) for a in numeric_attrs},
-                    {a: win["categorical"][a][i] for a in categorical_attrs},
-                )
-        detector.tick_count = int(state["tick_count"])
-        detector.recluster_count = int(state["recluster_count"])
-        detector.dropped_ticks = int(state["dropped_ticks"])
-        detector.sanitized_values = int(state["sanitized_values"])
-        detector.quarantined = set(state["quarantined"])
-        detector._stuck_runs = {
-            a: int(v) for a, v in dict(state["stuck_runs"]).items()
-        }
-        if detector.quarantine_after is not None:
-            detector._recent_values = {
-                a: deque(
-                    (float(v) for v in values),
-                    maxlen=detector.quarantine_after,
-                )
-                for a, values in dict(
-                    state.get("recent_values", {})
-                ).items()
-            }
-        detector._prev_value = {
-            a: float(v) for a, v in dict(state["prev_value"]).items()
-        }
-        detector._last_seen = {
-            a: float(v) for a, v in dict(state["last_seen"]).items()
-        }
+        numeric = list(win["numeric_attrs"]) if win is not None else []
+        detector._fleet = FleetDetector.from_checkpoints(
+            [lane], attributes=numeric
+        )
         detector._last_cat = {
             a: str(v) for a, v in dict(state["last_cat"]).items()
         }
-        last_time = state.get("last_time")
-        detector._last_time = None if last_time is None else float(last_time)
-        detector._emitted_ends = {float(e) for e in state["emitted_ends"]}
-        cs = state.get("cluster_state")
-        if cs is not None:
-            selected = tuple(cs["selected"])
-            flags = np.asarray(cs["raw_flags"], dtype=bool)
-            points = np.asarray(cs["points"], dtype=np.float64)
-            if points.size == 0:
-                points = np.zeros((0, len(selected)), dtype=np.float64)
-            cluster_state = _ClusterState(
-                selected=selected,
-                eps=float(cs["eps"]),
-                bounds={
-                    a: (float(b[0]), float(b[1]))
-                    for a, b in dict(cs["bounds"]).items()
-                },
-                points=points,
-                raw_flags=flags,
-                appended_at=int(cs["appended_at"]),
-            )
-            cluster_state.reclustered_at = int(cs["reclustered_at"])
-            detector._cluster_state = cluster_state
+        if win is not None:
+            cap = detector.capacity
+            rows = len(win["timestamps"])
+            start = (int(win["appended"]) - rows) % cap
+            detector._categorical = {}
+            for attr in win["categorical_attrs"]:
+                buf = np.empty(2 * cap, dtype=object)
+                for i, value in enumerate(win["categorical"][attr]):
+                    slot = (start + i) % cap
+                    buf[slot] = buf[slot + cap] = value
+                detector._categorical[attr] = buf
         return detector
-
-    # ------------------------------------------------------------------
-    def _closed_regions(self, result: DetectionResult) -> List[Region]:
-        """Regions that can no longer be extended (see :func:`close_regions`)."""
-        if self._window is None or self._window.n_rows == 0:
-            return []
-        closed, self._emitted_ends = close_regions(
-            result.regions,
-            self._window.timestamps,
-            self.batch.gap_fill_s,
-            self._emitted_ends,
-        )
-        return closed
 
 
 class StreamingDiagnoser:

@@ -5,7 +5,7 @@ Equation 4, the per-row region scan, and the dense-matrix ``deque``
 DBSCAN — kept so that
 
 * the equivalence tests (``tests/test_stream.py``) can assert the
-  vectorized / indexed / incremental paths reproduce what the code
+  vectorized / indexed / streaming paths reproduce what the code
   produced before this subsystem existed (same mask, regions, selected
   attributes, ε on identical windows), and
 * ``benchmarks/bench_online_detect.py`` can time the true "re-run the

@@ -1,10 +1,13 @@
 """Fleet engine: bitwise equivalence, scheduling, durability.
 
-The load-bearing claim of :mod:`repro.fleet` is that the vectorized
-cross-stream engine is *bitwise* interchangeable with N independent
-:class:`~repro.stream.detector.StreamingDetector` instances — same
-verdicts, masks, ε, quarantines, closed regions, and byte-identical
-checkpoints — including under the ``moderate`` chaos profile's degraded
+The load-bearing claim of :mod:`repro.fleet` is that every lane of the
+vectorized engine computes exactly what an independent per-stream
+reference computes on the same rows: the test-only ingest oracle
+(:mod:`tests.ingest_oracle`) repairs the rows, the batch
+:class:`~repro.core.anomaly.AnomalyDetector` detects on a window cut
+from them, and :func:`~repro.fleet.fallout.close_regions` closes the
+regions — same verdicts, masks, ε, quarantines, counters and closed
+regions, including under the ``moderate`` chaos profile's degraded
 telemetry.  Everything else (scheduler backpressure, WAL recovery,
 status rendering) is built on that invariant.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.anomaly import AnomalyDetector
 from repro.core.explain import DBSherlock
 from repro.eval.chaos import PROFILES
 from repro.fleet import (
@@ -23,9 +27,11 @@ from repro.fleet import (
     SortedWindowBank,
 )
 from repro.fleet.arena import FleetArena
+from repro.fleet.fallout import close_regions
 from repro.fleet.status import render_fleet_status
 from repro.obs.metrics import MetricsRegistry
 from repro.stream.detector import StreamingDetector
+from tests.ingest_oracle import IngestOracle
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +142,7 @@ class TestFleetArena:
 
 
 # ----------------------------------------------------------------------
-# Bitwise equivalence with mirrored single-stream detectors
+# Bitwise equivalence with an independent per-stream reference
 # ----------------------------------------------------------------------
 DETECTOR_KW = dict(
     capacity=40,
@@ -149,42 +155,71 @@ DETECTOR_KW = dict(
 )
 
 
-def _mirrors(n, attrs, **extra):
-    return [
-        StreamingDetector(mode="exact", **DETECTOR_KW, **extra)
-        for _ in range(n)
-    ]
+class _Reference:
+    """One stream: oracle-repaired rows → batch detect → close_regions."""
 
+    def __init__(self, attrs, **quarantine_kw):
+        kw = dict(DETECTOR_KW)
+        self.oracle = IngestOracle(attrs, kw.pop("capacity"), **quarantine_kw)
+        self.batch = AnomalyDetector(**kw)
+        self.emitted = set()
+        self.ticks = 0
+        self.reclusters = 0
 
-def _assert_tick_equal(tick, mirror_ticks, sizes):
-    for s, mt in enumerate(mirror_ticks):
-        if mt is None:
-            continue
-        res = tick.result(s)
-        assert res.selected_attributes == list(
-            mt.result.selected_attributes
+    def tick(self, time, row):
+        self.oracle.observe(time, row)
+        self.ticks += 1
+        window = self.oracle.window()
+        result = self.batch.detect(window, self.oracle.candidates())
+        closed, self.emitted = close_regions(
+            result.regions,
+            window.timestamps,
+            self.batch.gap_fill_s,
+            self.emitted,
         )
-        assert np.array_equal(res.mask, mt.result.mask)
-        assert res.regions == mt.result.regions
-        assert res.eps == mt.result.eps
-        assert tick.closed.get(s, []) == mt.closed_regions
-        assert bool(tick.reclustered[s]) == mt.reclustered
+        reclustered = bool(result.selected_attributes)
+        self.reclusters += reclustered
+        return result, closed, reclustered
 
 
-def _run_equivalence(rounds, fleet, mirrors, attrs):
-    """Feed identical rows to both paths, asserting every tick."""
+def _references(n, attrs, **quarantine_kw):
+    return [_Reference(attrs, **quarantine_kw) for _ in range(n)]
+
+
+def _run_equivalence(rounds, fleet, refs, attrs):
+    """Feed identical rows to the fleet and the references, asserting
+    every lane on every tick, then every lane's counters and state."""
     for times, values, active in rounds:
         tick = fleet.tick(times, values, active)
-        mirror_ticks = []
-        for s, det in enumerate(mirrors):
+        for s, ref in enumerate(refs):
             if not active[s]:
-                mirror_ticks.append(None)
                 continue
             row = {a: values[s, j] for j, a in enumerate(attrs)}
-            mirror_ticks.append(det.tick(times[s], row, {}))
-        _assert_tick_equal(tick, mirror_ticks, tick.sizes)
-    for s, det in enumerate(mirrors):
-        assert fleet.stream_checkpoint(s) == det.checkpoint()
+            want, closed, reclustered = ref.tick(times[s], row)
+            got = tick.result(s)
+            assert got.selected_attributes == want.selected_attributes
+            assert np.array_equal(got.mask, want.mask)
+            assert got.regions == want.regions
+            assert got.eps == want.eps
+            assert tick.closed.get(s, []) == closed
+            assert bool(tick.reclustered[s]) == reclustered
+            quarantined = set(fleet.quarantined_attributes(s))
+            assert quarantined == ref.oracle.quarantined
+    for s, ref in enumerate(refs):
+        oracle = ref.oracle
+        assert fleet.dropped_counts[s] == oracle.dropped
+        assert fleet.sanitized_counts[s] == oracle.sanitized
+        assert fleet.tick_counts[s] == ref.ticks
+        assert fleet.recluster_counts[s] == ref.reclusters
+        state = fleet.stream_checkpoint(s)
+        window = oracle.window()
+        assert state["window"]["timestamps"] == window.timestamps.tolist()
+        for a in attrs:
+            assert state["window"]["numeric"][a] == window.column(a).tolist()
+        oldest = float(window.timestamps[0])
+        assert state["emitted_ends"] == sorted(
+            e for e in ref.emitted if e >= oldest
+        )
 
 
 class TestFleetEquivalence:
@@ -200,16 +235,16 @@ class TestFleetEquivalence:
             anomaly_scale=10.0,
         )
         fleet = FleetDetector(S, attrs, **DETECTOR_KW)
-        mirrors = _mirrors(S, attrs)
-        _run_equivalence(src.take(90), fleet, mirrors, attrs)
+        refs = _references(S, attrs)
+        _run_equivalence(src.take(90), fleet, refs, attrs)
 
     def test_moderate_chaos_bitwise_equal(self):
-        """Identical verdicts/quarantines/checkpoints under `moderate`.
+        """Identical verdicts/quarantines/counters under `moderate`.
 
         Per-tenant tick streams go through the real `moderate` fault
         plan (5% dropped ticks, 2% NaN cells, one stuck-at attribute),
-        then the *delivered* rows feed both the fleet engine and
-        mirrored single-stream detectors with stuck-at quarantine on.
+        then the *delivered* rows feed both the fleet engine and the
+        per-stream references with stuck-at quarantine on.
         """
         S, attrs = 4, ["a", "b", "c"]
         profile = PROFILES["moderate"]
@@ -247,17 +282,10 @@ class TestFleetEquivalence:
                 yield times, values, active
 
         fleet = FleetDetector(S, attrs, quarantine_after=5, **DETECTOR_KW)
-        mirrors = _mirrors(S, attrs, quarantine_after=5)
-        _run_equivalence(rounds(), fleet, mirrors, attrs)
-        for s, det in enumerate(mirrors):
-            fleet_q = {
-                a
-                for j, a in enumerate(attrs)
-                if fleet.quarantined[s, j]
-            }
-            assert fleet_q == det.quarantined
-            assert fleet.dropped_counts[s] == det.dropped_ticks
-            assert fleet.sanitized_counts[s] == det.sanitized_values
+        refs = _references(S, attrs, quarantine_after=5)
+        _run_equivalence(rounds(), fleet, refs, attrs)
+        assert fleet.sanitized_counts.sum() > 0
+        assert fleet.quarantined.any()
 
     def test_variance_quarantine_bitwise_equal(self):
         S, attrs = 3, ["a", "b"]
@@ -274,9 +302,30 @@ class TestFleetEquivalence:
         )
         kw = dict(quarantine_after=6, quarantine_rel_epsilon=1e-3)
         fleet = FleetDetector(S, attrs, **DETECTOR_KW, **kw)
-        mirrors = _mirrors(S, attrs, **kw)
-        _run_equivalence(src.take(70), fleet, mirrors, attrs)
+        refs = _references(S, attrs, **kw)
+        _run_equivalence(src.take(70), fleet, refs, attrs)
         assert fleet.quarantined[1, 1]  # the stuck lane was caught
+
+    def test_non_monotone_rows_dropped(self):
+        S, attrs = 3, ["a", "b"]
+        src = FleetSimSource(
+            S, attrs, seed=8, anomaly_fraction=0.7, anomaly_scale=10.0,
+            anomaly_period=20, anomaly_duration=10,
+        )
+
+        def rounds():
+            for r, (times, values, active) in enumerate(src.take(80)):
+                times = times.copy()
+                if r % 7 == 3:
+                    times[r % S] -= 2.0  # a late row
+                elif r % 7 == 5:
+                    times[r % S] -= 1.0  # a repeated timestamp
+                yield times, values, active
+
+        fleet = FleetDetector(S, attrs, **DETECTOR_KW)
+        refs = _references(S, attrs)
+        _run_equivalence(rounds(), fleet, refs, attrs)
+        assert fleet.dropped_counts.sum() > 0
 
     def test_checkpoint_restore_is_bitwise(self):
         S, attrs = 3, ["a", "b"]

@@ -1,129 +1,62 @@
 """Tests for the streaming detection engine (``repro.stream``).
 
-The load-bearing suite here is :class:`TestExactEquivalence`: in
-``mode="exact"`` the :class:`StreamingDetector` must produce *identical*
-output — mask, regions, selected attributes, ε — to running the batch
-:class:`AnomalyDetector` from scratch on every shared window of seeded
-scenario runs, and both must match the frozen seed implementations in
-``repro.stream.golden``.
+The load-bearing suite here is :class:`TestExactEquivalence`: the
+:class:`StreamingDetector` must produce *identical* output — mask,
+regions, selected attributes, ε — to running the batch
+:class:`AnomalyDetector` from scratch on every window cut from seeded
+scenario runs, and the batch detector must match the frozen seed
+implementation in ``repro.stream.golden``.  :class:`TestCheckpointFixture`
+replays a trace frozen from the per-stream detector this one replaced.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.anomaly import AnomalyDetector, potential_power
 from repro.core.separation import normalize_values
-from repro.data.dataset import Dataset
 from repro.eval.harness import replay_rows, simulate_run
-from repro.stream import (
-    RingBufferWindow,
-    SlidingExtrema,
-    SlidingMedian,
-    StreamingDetector,
-    StreamingDiagnoser,
-)
+from repro.stream import StreamingDetector, StreamingDiagnoser
 from repro.stream.golden import GoldenAnomalyDetector
 
-
-# ---------------------------------------------------------------------------
-# order-statistic structures
-# ---------------------------------------------------------------------------
-class TestSlidingMedian:
-    def test_matches_numpy_on_fifo_windows(self):
-        rng = np.random.default_rng(0)
-        for trial in range(20):
-            # duplicate-heavy integer streams stress the lazy deletion
-            stream = rng.integers(0, 6, size=120).astype(float)
-            window = int(rng.integers(1, 15))
-            sm = SlidingMedian()
-            for i, value in enumerate(stream):
-                sm.add(value)
-                if i >= window:
-                    sm.remove(stream[i - window])
-                lo = max(0, i - window + 1)
-                expected = float(np.median(stream[lo : i + 1]))
-                assert sm.median() == expected
-
-    def test_arbitrary_add_remove(self):
-        rng = np.random.default_rng(7)
-        live = []
-        sm = SlidingMedian()
-        for _ in range(500):
-            if live and rng.random() < 0.45:
-                value = live.pop(int(rng.integers(len(live))))
-                sm.remove(value)
-            else:
-                value = float(rng.integers(0, 8))
-                live.append(value)
-                sm.add(value)
-            if live:
-                assert sm.median() == float(np.median(live))
-                assert len(sm) == len(live)
-
-    def test_empty_median_raises(self):
-        with pytest.raises(ValueError):
-            SlidingMedian().median()
-
-    def test_empty_remove_raises(self):
-        with pytest.raises(ValueError):
-            SlidingMedian().remove(1.0)
-
-    def test_even_count_is_midpoint(self):
-        sm = SlidingMedian()
-        for v in (1.0, 2.0, 3.0, 10.0):
-            sm.add(v)
-        assert sm.median() == 2.5
-
-
-class TestSlidingExtrema:
-    def test_tracks_min_max_with_expiry(self):
-        ex = SlidingExtrema()
-        values = [5.0, 3.0, 8.0, 1.0, 7.0]
-        for seq, value in enumerate(values):
-            ex.push(seq, value)
-        assert (ex.min(), ex.max()) == (1.0, 8.0)
-        ex.expire(4)  # only seq 4 (value 7.0) survives
-        assert (ex.min(), ex.max()) == (7.0, 7.0)
-
-    def test_matches_bruteforce_windows(self):
-        rng = np.random.default_rng(3)
-        stream = rng.normal(size=200)
-        window = 17
-        ex = SlidingExtrema()
-        for seq, value in enumerate(stream):
-            ex.push(seq, value)
-            ex.expire(seq - window + 1)
-            lo = max(0, seq - window + 1)
-            assert ex.min() == stream[lo : seq + 1].min()
-            assert ex.max() == stream[lo : seq + 1].max()
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            SlidingExtrema().min()
-        with pytest.raises(ValueError):
-            SlidingExtrema().max()
+FIXTURE = Path(__file__).parent / "fixtures" / "stream_checkpoint_v1.json"
 
 
 # ---------------------------------------------------------------------------
-# ring buffer
+# the detector's window
 # ---------------------------------------------------------------------------
+def _window_after(rows, capacity, categorical=False):
+    detector = StreamingDetector(capacity=capacity)
+    for t, numeric in rows:
+        cat = {"c": f"v{int(t)}"} if categorical else None
+        detector.observe(t, numeric, cat)
+    return detector.window
+
+
 class TestRingBufferWindow:
+    """The detector's window keeps the read surface of the ring buffer
+    the per-stream detector used to own."""
+
     def test_grows_until_capacity_then_evicts(self):
-        window = RingBufferWindow(3, numeric=["a"])
-        assert window.append(0.0, {"a": 10.0}) is None
-        assert window.append(1.0, {"a": 11.0}) is None
-        assert window.append(2.0, {"a": 12.0}) is None
-        assert window.full
-        evicted = window.append(3.0, {"a": 13.0})
-        assert evicted is not None
-        assert evicted.time == 0.0
-        assert evicted.numeric == {"a": 10.0}
+        detector = StreamingDetector(capacity=3)
+        assert detector.window is None
+        for i in range(3):
+            detector.observe(float(i), {"a": 10.0 + i})
+        assert detector.window.full
+        detector.observe(3.0, {"a": 13.0})
+        window = detector.window
         assert window.n_rows == 3
+        assert list(window.timestamps) == [1.0, 2.0, 3.0]
+        assert list(window.column("a")) == [11.0, 12.0, 13.0]
 
     def test_views_after_wraparound(self):
-        window = RingBufferWindow(4, numeric=["a"], categorical=["c"])
-        for i in range(11):
-            window.append(float(i), {"a": float(i) * 2.0}, {"c": f"v{i}"})
+        window = _window_after(
+            [(float(i), {"a": float(i) * 2.0}) for i in range(11)],
+            4,
+            categorical=True,
+        )
         assert list(window.timestamps) == [7.0, 8.0, 9.0, 10.0]
         assert list(window.column("a")) == [14.0, 16.0, 18.0, 20.0]
         assert list(window.column("c")) == ["v7", "v8", "v9", "v10"]
@@ -131,43 +64,44 @@ class TestRingBufferWindow:
         assert window.appended == 11
 
     def test_views_are_zero_copy(self):
-        window = RingBufferWindow(4, numeric=["a"])
+        detector = StreamingDetector(capacity=4)
         for i in range(6):
-            window.append(float(i), {"a": float(i)})
-        assert window.column("a").base is window._numeric["a"]
-        assert window.timestamps.base is window._ts
+            detector.observe(float(i), {"a": float(i)})
+        window = detector.window
+        arena = detector._fleet.arena
+        assert window.column("a").base is arena._vals
+        assert window.timestamps.base is arena._ts
 
     def test_bounds_track_retained_rows(self):
         rng = np.random.default_rng(11)
-        stream = rng.normal(size=60)
-        window = RingBufferWindow(13, numeric=["a"])
-        for i, value in enumerate(stream):
-            window.append(float(i), {"a": float(value)})
-            col = window.column("a")
-            assert window.bounds("a") == (col.min(), col.max())
+        detector = StreamingDetector(capacity=13)
+        for i, value in enumerate(rng.normal(size=60)):
+            detector.observe(float(i), {"a": float(value)})
+            col = detector.window.column("a")
+            assert detector.window.bounds("a") == (col.min(), col.max())
 
     def test_to_dataset_roundtrip(self):
-        window = RingBufferWindow(5, numeric=["a", "b"], categorical=["c"])
+        detector = StreamingDetector(capacity=5)
         for i in range(8):
-            window.append(
+            detector.observe(
                 float(i), {"a": float(i), "b": -float(i)}, {"c": "x"}
             )
-        ds = window.to_dataset(name="snap")
+        ds = detector.window.to_dataset(name="snap")
         assert ds.name == "snap"
         assert ds.n_rows == 5
         assert list(ds.timestamps) == [3.0, 4.0, 5.0, 6.0, 7.0]
         assert list(ds.column("b")) == [-3.0, -4.0, -5.0, -6.0, -7.0]
+        assert list(ds.column("c")) == ["x"] * 5
         # the snapshot must be a copy, detached from the live buffer
-        window.append(8.0, {"a": 0.0, "b": 0.0}, {"c": "x"})
+        detector.observe(8.0, {"a": 0.0, "b": 0.0}, {"c": "x"})
         assert list(ds.timestamps) == [3.0, 4.0, 5.0, 6.0, 7.0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RingBufferWindow(0, numeric=["a"])
+            StreamingDetector(capacity=1)
         with pytest.raises(ValueError):
-            RingBufferWindow(5, numeric=[])
-        window = RingBufferWindow(2, numeric=["a"])
-        window.append(0.0, {"a": 1.0})
+            StreamingDetector(capacity=5).observe(0.0, {}, {})
+        window = _window_after([(0.0, {"a": 1.0})], 2)
         with pytest.raises(KeyError):
             window.column("missing")
 
@@ -175,6 +109,12 @@ class TestRingBufferWindow:
 # ---------------------------------------------------------------------------
 # incremental potential power
 # ---------------------------------------------------------------------------
+def _power(detector, attr):
+    """Equation 4 power of *attr* as the detector's arena keeps it."""
+    arena = detector._fleet.arena
+    return float(arena.stats().powers[0, arena.attributes.index(attr)])
+
+
 class TestIncrementalPotentialPower:
     def test_matches_batch_on_sliding_windows(self):
         rng = np.random.default_rng(21)
@@ -185,10 +125,7 @@ class TestIncrementalPotentialPower:
         for i, value in enumerate(stream):
             detector.observe(float(i), {"a": float(value)})
             window = detector.window
-            lo, hi = window.bounds("a")
-            power = detector._trackers["a"].potential_power(
-                lo, hi, window.n_rows
-            )
+            power = _power(detector, "a")
             expected = potential_power(
                 normalize_values(window.column("a")), window=w
             )
@@ -198,21 +135,17 @@ class TestIncrementalPotentialPower:
         detector = StreamingDetector(capacity=30, window=10)
         for i in range(10):
             detector.observe(float(i), {"a": float(i % 3)})
-            lo, hi = detector.window.bounds("a")
-            assert (
-                detector._trackers["a"].potential_power(lo, hi, i + 1) == 0.0
-            )
+            assert _power(detector, "a") == 0.0
 
     def test_zero_for_constant_attribute(self):
         detector = StreamingDetector(capacity=30, window=5)
         for i in range(30):
             detector.observe(float(i), {"a": 2.5})
-        lo, hi = detector.window.bounds("a")
-        assert detector._trackers["a"].potential_power(lo, hi, 30) == 0.0
+        assert _power(detector, "a") == 0.0
 
 
 # ---------------------------------------------------------------------------
-# exact-mode equivalence: streaming == batch == frozen seed
+# equivalence: streaming == batch == frozen seed
 # ---------------------------------------------------------------------------
 def assert_results_equal(streamed, batched):
     assert np.array_equal(streamed.mask, batched.mask)
@@ -231,14 +164,20 @@ class TestExactEquivalence:
             anomaly_key, duration_s=40, seed=seed, normal_s=80
         )
         capacity = 60
-        streaming = StreamingDetector(capacity=capacity, mode="exact")
+        streaming = StreamingDetector(capacity=capacity)
         batch = AnomalyDetector()
-        for t, numeric_row, categorical_row in replay_rows(dataset):
+        for i, (t, numeric_row, categorical_row) in enumerate(
+            replay_rows(dataset)
+        ):
             streaming.observe(t, numeric_row, categorical_row)
-            if not streaming.window.full:
+            if i + 1 < capacity:
                 continue
+            # the reference window comes from the source rows, not from
+            # the detector's own storage
+            rows = np.zeros(dataset.n_rows, dtype=bool)
+            rows[i + 1 - capacity : i + 1] = True
             streamed = streaming.detect()
-            batched = batch.detect(streaming.window.to_dataset())
+            batched = batch.detect(dataset.select(rows))
             assert_results_equal(streamed, batched)
 
     @pytest.mark.parametrize("anomaly_key,seed", [("lock_contention", 303)])
@@ -263,7 +202,7 @@ class TestExactEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# delta emission and incremental mode
+# delta emission
 # ---------------------------------------------------------------------------
 def step_stream(n=200, start=120, width=20, seed=9, attrs=4):
     # width stays under cluster_fraction × capacity (0.2 × 120 = 24 rows)
@@ -305,39 +244,13 @@ class TestClosedRegions:
 
 
 class TestIncrementalMode:
-    def test_bounded_divergence_and_fewer_reclusters(self):
-        columns = step_stream(seed=17)
-        exact = StreamingDetector(capacity=120, mode="exact")
-        incremental = StreamingDetector(capacity=120, mode="incremental")
-        agree = total = 0
-        for i in range(200):
-            row = {a: float(v[i]) for a, v in columns.items()}
-            r_exact = exact.tick(float(i), row).result
-            r_inc = incremental.tick(float(i), row).result
-            agree += int(np.sum(r_exact.mask == r_inc.mask))
-            total += r_exact.mask.shape[0]
-        assert agree / total >= 0.95
-        # it must actually skip work: strictly fewer re-clusters than the
-        # exact mode, but still re-cluster periodically on turnover
-        assert incremental.recluster_count < exact.recluster_count
-        assert incremental.recluster_count >= 2
-
-    def test_selected_change_forces_recluster(self):
-        detector = StreamingDetector(
-            capacity=40, mode="incremental", recluster_fraction=1.0
-        )
-        rng = np.random.default_rng(23)
-        values = rng.normal(0.0, 0.1, 120)
-        values[60:] += 5.0  # selection flips on when the step enters
-        reclusters = 0
-        for i, value in enumerate(values):
-            update = detector.tick(float(i), {"a": float(value)})
-            reclusters += int(update.reclustered)
-        assert reclusters >= 1
+    """The approximate re-cluster mode is gone; only ``"exact"`` loads."""
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             StreamingDetector(mode="sometimes")
+        with pytest.raises(ValueError, match="incremental"):
+            StreamingDetector(mode="incremental")
         with pytest.raises(ValueError):
             StreamingDetector(capacity=1)
 
@@ -368,3 +281,93 @@ class TestAttributeFilter:
             row = {a: float(v[i]) for a, v in columns.items()}
             last = detector.tick(float(i), row).result
         assert last.selected_attributes == ["m0"]
+
+
+# ---------------------------------------------------------------------------
+# checkpoints written by the per-stream detector this one replaced
+# ---------------------------------------------------------------------------
+def _outputs(update):
+    result = update.result
+    return {
+        "mask": "".join("1" if flag else "0" for flag in result.mask),
+        "regions": [[r.start, r.end] for r in result.regions],
+        "selected": list(result.selected_attributes),
+        "eps": result.eps,
+        "closed": [[r.start, r.end] for r in update.closed_regions],
+        "reclustered": update.reclustered,
+    }
+
+
+@pytest.fixture(scope="module")
+def frozen():
+    return json.loads(FIXTURE.read_text())
+
+
+CASES = ["main", "window_over_capacity", "categorical_only"]
+
+
+class TestCheckpointFixture:
+    """``tests/fixtures/stream_checkpoint_v1.json`` holds inputs, outputs
+    and checkpoints recorded from the previous per-stream detector: exact
+    mode with categorical columns, an active stuck-run quarantine and
+    already-emitted regions (``main``), a window wider than the buffer,
+    and rows with only categorical attributes."""
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_input_same_checkpoint_bytes(self, frozen, case):
+        trace = frozen[case]
+        detector = StreamingDetector(**trace["params"])
+        for t, numeric, categorical in trace["prefix"]:
+            detector.tick(t, numeric, categorical)
+        assert json.dumps(detector.checkpoint()) == json.dumps(
+            trace["checkpoint"]
+        )
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_restored_checkpoint_continues_identically(self, frozen, case):
+        trace = frozen[case]
+        detector = StreamingDetector.from_checkpoint(trace["checkpoint"])
+        outputs = [
+            _outputs(detector.tick(t, numeric, categorical))
+            for t, numeric, categorical in trace["ticks"]
+        ]
+        assert outputs == trace["outputs"]
+        assert json.dumps(detector.checkpoint()) == json.dumps(
+            trace["final_checkpoint"]
+        )
+
+    def test_main_trace_covers_the_hard_state(self, frozen):
+        state = frozen["main"]["checkpoint"]
+        assert state["params"]["mode"] == "exact"
+        assert state["window"]["categorical_attrs"] == ["phase"]
+        assert state["quarantined"] == ["flat"]
+        assert state["emitted_ends"]
+        assert any(out["closed"] for out in frozen["main"]["outputs"])
+
+    def test_incremental_checkpoint_rejected(self, frozen):
+        state = json.loads(json.dumps(frozen["main"]["checkpoint"]))
+        state["params"]["mode"] = "incremental"
+        with pytest.raises(ValueError, match="incremental"):
+            StreamingDetector.from_checkpoint(state)
+        state["params"]["mode"] = "exact"
+        state["cluster_state"] = {"selected": ["m0"], "eps": 0.1}
+        with pytest.raises(ValueError, match="exact"):
+            StreamingDetector.from_checkpoint(state)
+
+    def test_window_over_capacity_never_selects(self, frozen):
+        outputs = frozen["window_over_capacity"]["outputs"]
+        assert all(not out["selected"] for out in outputs)
+        detector = StreamingDetector(capacity=10, window=30)
+        assert detector.checkpoint()["params"]["window"] == 30
+
+    def test_categorical_only_rows(self, frozen):
+        state = frozen["categorical_only"]["final_checkpoint"]
+        assert state["window"]["numeric_attrs"] == []
+        assert state["dropped_ticks"] == 1
+        assert state["sanitized_values"] == 1
+        detector = StreamingDetector.from_checkpoint(state)
+        window = detector.window
+        assert window.numeric_attributes == []
+        assert list(window.column("phase")) == (
+            state["window"]["categorical"]["phase"]
+        )
