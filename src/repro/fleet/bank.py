@@ -9,13 +9,14 @@ module instead keeps every lane's buffer contents **sorted in one dense
 matrix** and performs the one-in/one-out update for all lanes with a
 fixed number of whole-matrix numpy operations:
 
-1. a batched binary search (``ceil(log2(C + 1))`` rounds of one
-   gather each) finds each lane's delete position ``d`` (the
-   leaving value's first occurrence — or the first +inf pad while the
-   lane is still growing) and insert position ``i``;
-2. a single gather shifts exactly the elements between the two
-   positions by one slot (right when ``i <= d``, left when ``i > d``)
-   and leaves everything else untouched;
+1. one comparison count per row finds each lane's insert position
+   ``i`` (how many stored values are below the incoming one) and
+   delete position ``d`` (the same count for the leaving value, whose
+   first occurrence it is — or the lane's count while it is still
+   growing, where its first +inf pad sits); the pads never count;
+2. two masked slice copies shift exactly the elements between the two
+   positions by one slot — right over ``[i, d)`` when ``i <= d``, left
+   over ``[d, i - 1)`` otherwise — and leave everything else untouched;
 3. one scatter writes the incoming value at its final position.
 
 The resulting matrix is bitwise the sorted buffer contents, so lane
@@ -38,11 +39,11 @@ class SortedWindowBank:
     ascending and padded with ``+inf`` beyond the lane's current count.
     :meth:`replace` inserts one value per active lane and removes the
     lane's leaving value (or consumes a pad slot while the lane is still
-    filling) — the whole update is a handful of dense numpy calls with
-    no per-lane Python work.
+    filling) with two comparison counts, two masked slice shifts and
+    one scatter — no per-lane Python work.
     """
 
-    __slots__ = ("capacity", "counts", "_sorted", "_rounds", "_idx", "_rows")
+    __slots__ = ("capacity", "counts", "_sorted", "_cols", "_rows")
 
     def __init__(self, lanes: int, capacity: int) -> None:
         if lanes < 0:
@@ -52,30 +53,13 @@ class SortedWindowBank:
         self.capacity = int(capacity)
         self.counts = np.zeros(lanes, dtype=np.int64)
         self._sorted = np.full((lanes, self.capacity), np.inf)
-        # enough halvings to pin down a position in [0, capacity]
-        self._rounds = max(1, int(np.ceil(np.log2(self.capacity + 1))))
-        self._idx = np.arange(self.capacity, dtype=np.int64)[None, :]
+        # column indices of the (capacity - 1)-wide shifted views
+        self._cols = np.arange(self.capacity - 1, dtype=np.int32)
         self._rows = np.arange(lanes)
 
     @property
     def lanes(self) -> int:
         return self._sorted.shape[0]
-
-    def _search(self, values: np.ndarray) -> np.ndarray:
-        """Per-lane left insertion point of ``values`` (batched bisect)."""
-        lanes = self._sorted.shape[0]
-        lo = np.zeros(lanes, dtype=np.int64)
-        hi = np.full(lanes, self.capacity, dtype=np.int64)
-        for _ in range(self._rounds):
-            mid = (lo + hi) >> 1  # < capacity wherever lo < hi
-            probe = self._sorted[
-                self._rows, np.minimum(mid, self.capacity - 1)
-            ]
-            go_right = (lo < hi) & (probe < values)
-            stay = (lo < hi) & ~go_right
-            lo = np.where(go_right, mid + 1, lo)
-            hi = np.where(stay, mid, hi)
-        return lo
 
     def replace(
         self,
@@ -100,27 +84,28 @@ class SortedWindowBank:
         """
         S = self._sorted
         full = self.counts >= self.capacity
-        # Growing lanes "delete" their first +inf pad — searching is
-        # unnecessary, the pad sits exactly at the lane's count.
-        need_search = active & full
+        i = np.count_nonzero(S < values[:, None], axis=1).astype(np.int32)
         d = np.where(
-            need_search,
-            self._search(np.where(need_search, evicted, -np.inf)),
-            self.counts,
-        )
-        i = self._search(np.where(active, values, -np.inf))
+            full, np.count_nonzero(S < evicted[:, None], axis=1), self.counts
+        ).astype(np.int32)
         # Inactive lanes become no-ops: delete slot 0, re-insert S[:, 0].
-        d = np.where(active, d, 0)
-        i = np.where(active, i, 0)
-        case_le = i <= d  # insert lands at or before the hole
-        p = np.where(case_le, i, i - 1)
-        idx = self._idx
-        shift_right = case_le[:, None] & (idx > p[:, None]) & (idx <= d[:, None])
-        shift_left = (~case_le)[:, None] & (idx >= d[:, None]) & (idx < p[:, None])
-        gather = idx - shift_right.astype(np.int64) + shift_left.astype(np.int64)
-        out = np.take_along_axis(S, gather, axis=1)
-        final = np.where(active, values, S[:, 0])
-        out[self._rows, p] = final
+        i[~active] = 0
+        d[~active] = 0
+        right = i <= d  # insert lands at or before the hole
+        p = np.where(right, i, i - 1)
+        # Shift right over [i, d) or left over [d, p); the other range
+        # is empty (lo == hi).
+        cols = self._cols
+        out = S.copy()
+        hi = np.where(right, d, i)[:, None]
+        np.copyto(
+            out[:, 1:], S[:, :-1], where=(cols >= i[:, None]) & (cols < hi)
+        )
+        hi = np.where(right, d, p)[:, None]
+        np.copyto(
+            out[:, :-1], S[:, 1:], where=(cols >= d[:, None]) & (cols < hi)
+        )
+        out[self._rows, p] = np.where(active, values, S[:, 0])
         self._sorted = out
         self.counts = self.counts + (active & ~full)
 

@@ -533,10 +533,10 @@ class FleetDetector:
         """Stages 1-4 of a tick for the streams in *present*.
 
         Rows whose timestamp does not advance are dropped (before
-        sanitize), NaN cells take the attribute's last valid value (0.0
-        before any), the sanitized rows are appended to the arena, and
-        the stuck-at quarantine is updated.  Returns the mask of streams
-        whose row was accepted.
+        sanitize), non-finite cells (NaN, ±inf) take the attribute's
+        last finite value (0.0 before any), the sanitized rows are
+        appended to the arena, and the stuck-at quarantine is updated.
+        Returns the mask of streams whose row was accepted.
         """
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
@@ -544,11 +544,12 @@ class FleetDetector:
         dropped = present & ~accepted
         self.dropped_counts += dropped
 
-        nan_cells = np.isnan(values) & accepted[:, None]
-        clean = np.where(nan_cells, self._last_seen, values)
-        n_sanitized = nan_cells.sum(axis=1)
+        finite = np.isfinite(values)
+        bad_cells = ~finite & accepted[:, None]
+        clean = np.where(bad_cells, self._last_seen, values)
+        n_sanitized = bad_cells.sum(axis=1)
         self.sanitized_counts += n_sanitized
-        valid = accepted[:, None] & ~np.isnan(values)
+        valid = accepted[:, None] & finite
         self._last_seen = np.where(valid, values, self._last_seen)
         self._seen |= valid
         self.last_time = np.where(accepted, times, self.last_time)

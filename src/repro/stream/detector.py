@@ -187,7 +187,7 @@ class StreamingDetector:
 
     @property
     def sanitized_values(self) -> int:
-        """NaN / missing cells repaired on ingest."""
+        """Non-finite / missing cells repaired on ingest."""
         return int(self._fleet.sanitized_counts[0])
 
     @property
@@ -221,10 +221,11 @@ class StreamingDetector:
         """Ingest one telemetry row (no detection).
 
         Degraded telemetry is repaired on the way in: rows whose
-        timestamp does not advance are dropped (``dropped_ticks``), NaN
-        and missing cells are filled with the attribute's last valid
-        value (``sanitized_values``), and exactly-constant runs feed the
-        stuck-at quarantine.  Returns ``True`` when the row was ingested.
+        timestamp does not advance are dropped (``dropped_ticks``),
+        non-finite (NaN, ±inf) and missing cells are filled with the
+        attribute's last finite value (``sanitized_values``), and
+        exactly-constant runs feed the stuck-at quarantine.  Returns
+        ``True`` when the row was ingested.
         """
         times, values = self._lane_row(time, numeric_row, categorical_row)
         accepted = bool(self._fleet.ingest(times, values, _ONE)[0])

@@ -6,8 +6,8 @@ attribute — so the vectorized fleet engine has an independent reference
 for them:
 
 * a row whose timestamp does not advance is dropped (before sanitize);
-* a NaN or missing numeric cell takes the attribute's last valid value
-  (0.0 before any);
+* a non-finite (NaN, ±inf) or missing numeric cell takes the
+  attribute's last finite value (0.0 before any);
 * exact rule: a tracked attribute whose sanitized value repeated for
   ``quarantine_after`` consecutive rows is quarantined until it moves;
 * variance rule (``quarantine_rel_epsilon``): a tracked attribute whose
@@ -67,7 +67,7 @@ class IngestOracle:
         clean = {}
         for attr in self.attributes:
             value = row.get(attr)
-            if value is None or math.isnan(value):
+            if value is None or not math.isfinite(value):
                 clean[attr] = self._last_seen.get(attr, 0.0)
                 self.sanitized += 1
             else:

@@ -14,8 +14,12 @@ status rendering) is built on that invariant.
 
 from __future__ import annotations
 
+import bisect
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.anomaly import AnomalyDetector
 from repro.core.explain import DBSherlock
@@ -77,6 +81,75 @@ class TestSortedWindowBank:
         assert bank.counts.tolist() == [1, 0, 1]
         assert np.isnan(bank.medians()[1])
         assert bank.medians()[0] == 1.0
+
+
+class _ReferenceBank:
+    """Pure-Python sorted lanes: ``bisect_left`` insert, remove the
+    first equal entry (the order ``-0.0``/``0.0`` ties must land in,
+    which ``np.sort`` does not fix)."""
+
+    def __init__(self, lanes, capacity):
+        self.capacity = capacity
+        self.sorted = [[] for _ in range(lanes)]
+        self.fifo = [deque() for _ in range(lanes)]
+
+    def evicted(self):
+        return np.array([f[0] if f else 0.0 for f in self.fifo])
+
+    def replace(self, values, active):
+        for lane in np.nonzero(active)[0]:
+            lane_sorted, fifo = self.sorted[lane], self.fifo[lane]
+            if len(fifo) == self.capacity:
+                lane_sorted.remove(fifo.popleft())
+            value = float(values[lane])
+            bisect.insort_left(lane_sorted, value)
+            fifo.append(value)
+
+
+_TIE_POOL = np.array([-0.0, 0.0, -1.5, 1.5, 2.0, -3.0, 7.25])
+
+
+class TestSortedWindowBankProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lanes=st.integers(0, 40),
+        capacity=st.integers(1, 70),
+        p_active=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+        p_idle_tick=st.sampled_from([0.0, 0.1]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_bisect_reference_bitwise(
+        self, lanes, capacity, p_active, p_idle_tick, seed
+    ):
+        rng = np.random.default_rng(seed)
+        bank = SortedWindowBank(lanes, capacity)
+        ref = _ReferenceBank(lanes, capacity)
+        # 2C + 5 ticks take every often-active lane through
+        # grow -> full -> steady
+        for _ in range(2 * capacity + 5):
+            values = _TIE_POOL[rng.integers(0, _TIE_POOL.size, lanes)]
+            active = rng.random(lanes) < p_active
+            if rng.random() < p_idle_tick:
+                active[:] = False
+            bank.replace(values, active, ref.evicted())
+            ref.replace(values, active)
+            counts = [len(lane) for lane in ref.sorted]
+            assert bank.counts.tolist() == counts
+            meds, mins, maxs = bank.medians(), bank.mins(), bank.maxs()
+            for lane, want in enumerate(ref.sorted):
+                n = len(want)
+                row = bank._sorted[lane]
+                assert np.array_equal(
+                    row[:n].view(np.int64),
+                    np.array(want, dtype=np.float64).view(np.int64),
+                )
+                assert np.all(row[n:] == np.inf)
+                if n == 0:
+                    assert np.isnan(meds[lane])
+                    continue
+                assert meds[lane] == np.median(want)
+                assert mins[lane] == min(want)
+                assert maxs[lane] == max(want)
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +399,28 @@ class TestFleetEquivalence:
         refs = _references(S, attrs)
         _run_equivalence(rounds(), fleet, refs, attrs)
         assert fleet.dropped_counts.sum() > 0
+
+    def test_nonfinite_cells_bitwise_equal(self):
+        """±inf cells are repaired like NaN: last finite value."""
+        S, attrs = 3, ["a", "b"]
+        src = FleetSimSource(
+            S, attrs, seed=12, anomaly_fraction=0.7, anomaly_scale=10.0,
+            anomaly_period=20, anomaly_duration=10,
+        )
+        bad = [np.inf, -np.inf, np.nan]
+
+        def rounds():
+            for r, (times, values, active) in enumerate(src.take(80)):
+                values = values.copy()
+                if r % 5 == 2:
+                    values[r % S, r % len(attrs)] = bad[r % 3]
+                yield times, values, active
+
+        fleet = FleetDetector(S, attrs, **DETECTOR_KW)
+        refs = _references(S, attrs)
+        _run_equivalence(rounds(), fleet, refs, attrs)
+        assert fleet.sanitized_counts.sum() == 16
+        assert np.isfinite(fleet.arena._vals).all()
 
     def test_checkpoint_restore_is_bitwise(self):
         S, attrs = 3, ["a", "b"]

@@ -143,6 +143,26 @@ class TestIncrementalPotentialPower:
             detector.observe(float(i), {"a": 2.5})
         assert _power(detector, "a") == 0.0
 
+    def test_nonfinite_cell_does_not_blind_the_lane(self):
+        rng = np.random.default_rng(5)
+        stream = rng.normal(size=60)
+        stream[25] = np.inf
+        stream[35] = -np.inf
+        detector = StreamingDetector(capacity=30, window=5)
+        for i, value in enumerate(stream):
+            detector.observe(float(i), {"a": float(value)})
+            if i < 25:
+                continue
+            window = detector.window
+            assert np.isfinite(window.column("a")).all()
+            power = _power(detector, "a")
+            assert power > 0.0
+            assert power == pytest.approx(
+                potential_power(normalize_values(window.column("a")), window=5),
+                abs=1e-12,
+            )
+        assert detector.sanitized_values == 2
+
 
 # ---------------------------------------------------------------------------
 # equivalence: streaming == batch == frozen seed
