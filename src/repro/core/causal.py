@@ -137,7 +137,11 @@ def model_confidence(
         if present:
             # one bulk fetch (single key prefix, batched hit counters)
             # instead of a per-predicate entry() round-trip
+            from repro.perf.cache import build_region_partitions
+
             entries = cache.entries(dataset, spec, present, n_partitions)
+            # the model's region views in one pass instead of one each
+            build_region_partitions(entries.values(), apply_filtering)
     total = 0.0
     for predicate in predicates:
         power = _predicate_on_partitions(

@@ -28,6 +28,7 @@ from repro.core.predicates import Conjunction, Predicate
 from repro.data.dataset import Dataset
 from repro.data.regions import RegionSpec
 from repro.obs import metrics, trace
+from repro.perf.cache import LabeledSpaceCache, build_region_partitions
 from repro.schema.fingerprint import fingerprint_attributes
 from repro.schema.reconcile import (
     DEFAULT_COVERAGE_FLOOR,
@@ -62,10 +63,6 @@ _COVERAGE = metrics.REGISTRY.gauge(
 )
 _EXPLAINS = metrics.REGISTRY.counter(
     "repro_explains_total", "DBSherlock.explain invocations"
-)
-_EXPLAIN_BATCHES = metrics.REGISTRY.counter(
-    "repro_explain_batches_total",
-    "Fused explain_batch passes (cross-anomaly kernel seeding)",
 )
 
 
@@ -167,8 +164,6 @@ class DBSherlock:
         reconciler: Optional[SchemaReconciler] = None,
         coverage_floor: float = DEFAULT_COVERAGE_FLOOR,
     ) -> None:
-        from repro.perf.cache import LabeledSpaceCache
-
         self.config = config or GeneratorConfig()
         # One shared labeled-space cache: explain() generates predicates
         # and ranks stored models on the same (dataset, spec), so each
@@ -205,334 +200,96 @@ class DBSherlock:
                     sp.set(detected=False)
                     return Explanation(predicates=Conjunction())
                 spec = detection.to_region_spec()
-
             conjunction = self.generator.generate(dataset, spec, attributes)
-            with trace.span("prune", candidates=len(conjunction.predicates)):
-                kept, pruned = prune_secondary_symptoms(
-                    conjunction.predicates, dataset, self.rules,
-                    self.kappa_threshold,
-                )
-            scores, report, abstained = self._rank(dataset, spec)
-            visible = [
-                (cause, confidence)
-                for cause, confidence in scores
-                if confidence > self.lambda_threshold
-            ]
-            sp.set(
-                predicates=len(kept),
-                pruned=len(pruned),
-                causes_visible=len(visible),
-                abstained=len(abstained),
-            )
-            return Explanation(
-                predicates=Conjunction(kept),
-                pruned=pruned,
-                causes=visible,
-                all_cause_scores=scores,
-                reconciliation=report,
-                abstained=abstained,
-            )
+            return self._explain_generated(dataset, spec, conjunction, sp)
 
     def explain_batch(
         self,
         jobs: Sequence[Tuple[Dataset, Optional[RegionSpec]]],
         attributes: Optional[Sequence[str]] = None,
     ) -> List[Explanation]:
-        """:meth:`explain` for many anomalies, fused through batch kernels.
+        """:meth:`explain` for each ``(dataset, spec)`` job, in order.
 
-        The per-anomaly result is **identical** to calling
-        :meth:`explain` serially — this method only *seeds* the shared
-        :class:`~repro.perf.cache.LabeledSpaceCache` first: the Section
-        4.3 filter, the Section 4.4 gap fill, and the θ-gate normalized
-        means for every job are computed in a handful of stacked numpy
-        passes (:mod:`repro.perf.batch`) whose outputs are bitwise-equal
-        to the serial functions, and published as cache entries.  The
-        unchanged serial :meth:`explain` then runs per job and hits the
-        cache everywhere, so a batch of K diagnoses costs a few kernels
-        plus K cheap cache-hit walks instead of K full Algorithm 1 runs.
-        Jobs the kernels cannot express exactly (NaN telemetry, ablation
-        configs, missing specs) are simply not seeded and take the
-        serial path inside :meth:`explain` as usual.
+        The fleet scheduler hands a drained batch of closed regions here.
+        The jobs that carry a spec share one
+        :meth:`PredicateGenerator.generate_batch` pass (Algorithm 1 for
+        every attribute of every job at once); pruning and ranking then
+        run per job.  Each result is identical to a serial
+        :meth:`explain`.  Jobs without a spec take :meth:`explain`.
         """
         jobs = list(jobs)
-        if (
-            len(jobs) > 1
-            and self.config.enable_filtering
-            and self.config.enable_fill
-        ):
-            _EXPLAIN_BATCHES.inc()
-            self._seed_batch(jobs, attributes)
-        return [self.explain(ds, spec, attributes) for ds, spec in jobs]
-
-    def _seed_batch(
-        self,
-        jobs: Sequence[Tuple[Dataset, Optional[RegionSpec]]],
-        attributes: Optional[Sequence[str]],
-    ) -> None:
-        """Warm the labeled-space cache for *jobs* via batch kernels."""
-        import numpy as np
-
-        from repro.core.partition import Label, NumericPartitionSpace
-        from repro.perf.batch import (
-            abnormal_blocks_batch,
-            fill_gaps_batch,
-            filter_partitions_batch,
-            normalize_columns_batch,
+        fused = [(ds, spec) for ds, spec in jobs if spec is not None]
+        if len(fused) < 2:
+            return [self.explain(ds, spec, attributes) for ds, spec in jobs]
+        conjunctions = iter(self.generator.generate_batch(fused, attributes))
+        model_attrs = list(
+            dict.fromkeys(a for model in self.store for a in model.attributes)
         )
-        from repro.perf.cache import LabeledAttribute
-
-        n_partitions = self.config.n_partitions
-        grid = int(n_partitions)
-        delta = float(self.config.delta)
-        seen: set = set()
-        numeric_entries: List[object] = []
-
-        def collect(entry) -> None:
-            if entry is None or not entry.is_numeric:
-                return
-            if id(entry) in seen:
-                return
-            seen.add(id(entry))
-            if entry.labels_initial.shape[0] == grid:
-                numeric_entries.append(entry)
-
-        def degrade(dataset, spec, numeric) -> None:
-            # degraded job (NaN cells, mixed dtypes, empty regions):
-            # label it per-dataset; explain() falls back serially
-            for entry in self.cache.entries(
-                dataset, spec, numeric, n_partitions
-            ).values():
-                collect(entry)
-
-        # Group fusable candidates by row count so each group stacks into
-        # one (total_attrs, rows) matrix: jobs of equal length share the
-        # NaN scan, normalization, min/max, and labeling kernels no
-        # matter the tenant.  (Invalid specs are caught by the validate
-        # inside explain(); seeding never consumes the region bounds
-        # beyond building masks.)
-        groups: dict = {}
+        if model_attrs:
+            # ranking reads the region views of the model attributes:
+            # build those of every job in one pass
+            build_region_partitions(
+                [
+                    entry
+                    for entries in self.cache.entries_batch(
+                        [
+                            (ds, spec, [a for a in model_attrs if a in ds])
+                            for ds, spec in fused
+                        ],
+                        self.config.n_partitions,
+                    )
+                    for entry in entries.values()
+                ]
+            )
+        out: List[Explanation] = []
         for dataset, spec in jobs:
             if spec is None:
+                out.append(self.explain(dataset, None, attributes))
                 continue
-            names = (
-                list(attributes)
-                if attributes is not None
-                else dataset.attributes
-            )
-            numeric = [a for a in names if dataset.is_numeric(a)]
-            if not numeric:
-                continue
-            columns = [np.asarray(dataset.column(a)) for a in numeric]
-            if all(
-                c.dtype == np.float64 and c.ndim == 1
-                and c.shape == columns[0].shape
-                for c in columns
-            ):
-                groups.setdefault(columns[0].shape[0], []).append(
-                    (dataset, spec, numeric, columns)
-                )
-            else:
-                degrade(dataset, spec, numeric)
-
-        # Per-job publication staged for one bulk seed_job call each —
-        # (dataset, spec, norm_means, entries, masks); entries fill in
-        # during the stacked labeling pass below.
-        pending: List[tuple] = []
-        for group in groups.values():
-            big = np.stack(
-                [c for _, _, _, cols in group for c in cols]
-            )
-            nan_rows = np.isnan(big).any(axis=1)
-            starts: List[int] = []
-            offset = 0
-            for _, _, numeric, _ in group:
-                starts.append(offset)
-                offset += len(numeric)
-            # Region masks for the whole group in two comparisons — the
-            # single-abnormal-region / implicit-normal shape the fleet
-            # produces; other spec shapes fall back to per-job masks.
-            simple = [
-                len(spec.abnormal) == 1 and spec.normal is None
-                for _, spec, _, _ in group
-            ]
-            ab_all = None
-            if any(simple):
-                stamps = np.stack([ds.timestamps for ds, _, _, _ in group])
-                lo = np.array(
-                    [spec.abnormal[0].start for _, spec, _, _ in group]
-                )[:, None]
-                hi = np.array(
-                    [spec.abnormal[0].end for _, spec, _, _ in group]
-                )[:, None]
-                ab_all = (stamps >= lo) & (stamps <= hi)
-            # θ-gate means for every attribute in two masked reductions —
-            # mean(axis=1) reduces each contiguous row with the exact
-            # pairwise summation of the serial values[mask].mean()
-            big_norm = normalize_columns_batch(big)
-            big_mins = big.min(axis=1)
-            big_maxs = big.max(axis=1)
-            lanes: List[tuple] = []
-            for j, (dataset, spec, numeric, _) in enumerate(group):
-                s = starts[j]
-                e = s + len(numeric)
-                if bool(nan_rows[s:e].any()):
-                    degrade(dataset, spec, numeric)
-                    continue
-                if simple[j]:
-                    abnormal = ab_all[j]
-                    normal = ~abnormal
-                else:
-                    abnormal, normal = self.cache.masks(dataset, spec)
-                if not (bool(abnormal.any()) and bool(normal.any())):
-                    degrade(dataset, spec, numeric)
-                    continue
-                sub = big_norm[s:e]
-                mu_abnormal = sub[:, abnormal].mean(axis=1).tolist()
-                mu_normal = sub[:, normal].mean(axis=1).tolist()
-                job_means: dict = {}
-                job_entries: dict = {}
-                job_masks = (abnormal, normal) if simple[j] else None
-                pending.append(
-                    (dataset, spec, job_means, job_entries, job_masks)
-                )
-                cached_entries = self.cache.peek_entries(
-                    dataset, spec, numeric, n_partitions
-                )
-                for i, attr in enumerate(numeric):
-                    job_means[attr] = (mu_abnormal[i], mu_normal[i])
-                    cached = cached_entries.get(attr)
-                    if cached is not None:
-                        collect(cached)
-                    else:
-                        lanes.append(
-                            (job_entries, attr, s + i, abnormal, normal)
-                        )
-            if not lanes:
-                continue
-            # One Algorithm-1 labeling pass over every lane of the group —
-            # the same arithmetic as label_numeric_batch, with the per-job
-            # region masks expanded to lane rows so a single pair of
-            # offset bincounts serves the whole group.
-            rows = np.array([lane[2] for lane in lanes], dtype=np.intp)
-            stacked = big[rows]
-            abnormal_sel = np.stack([lane[3] for lane in lanes])
-            normal_sel = np.stack([lane[4] for lane in lanes])
-            mins = big_mins[rows]
-            maxs = big_maxs[rows]
-            spans = maxs - mins
-            nparts = np.where(spans > 0, grid, 1).astype(np.int64)
-            widths = spans / nparts
-            safe_widths = np.where(widths == 0.0, 1.0, widths)
-            with np.errstate(invalid="ignore"):
-                raw = np.floor((stacked - mins[:, None]) / safe_widths[:, None])
-            idx = np.clip(raw.astype(np.int64), 0, (nparts - 1)[:, None])
-            L = len(lanes)
-            offsets = (np.arange(L, dtype=np.int64) * grid)[:, None]
-            flat = idx + offsets
-            counts_abnormal = np.bincount(
-                flat[abnormal_sel], minlength=L * grid
-            ).reshape(L, grid)
-            counts_normal = np.bincount(
-                flat[normal_sel], minlength=L * grid
-            ).reshape(L, grid)
-            labels_grid = np.full((L, grid), int(Label.EMPTY), dtype=np.int64)
-            labels_grid[(counts_abnormal > 0) & (counts_normal == 0)] = int(
-                Label.ABNORMAL
-            )
-            labels_grid[(counts_normal > 0) & (counts_abnormal == 0)] = int(
-                Label.NORMAL
-            )
-            for j, (job_entries, attr, _row, _a, _n) in enumerate(lanes):
-                space = NumericPartitionSpace.from_stats(
-                    attr, mins[j], maxs[j], n_partitions
-                )
-                job_entries[attr] = LabeledAttribute(
-                    attr,
-                    True,
-                    space,
-                    labels_grid[j, : space.n_partitions].copy(),
-                )
-        # One grouped-by-shard publication per job instead of two lock
-        # round-trips per (attribute, table) key.
-        for dataset, spec, job_means, job_entries, job_masks in pending:
-            winners = self.cache.seed_job(
-                dataset,
-                spec,
-                n_partitions,
-                entries=job_entries or None,
-                norm_means=job_means or None,
-                masks=job_masks,
-            )
-            for entry in winners.values():
-                collect(entry)
-        abnormal_label = int(Label.ABNORMAL)
-        normal_label = int(Label.NORMAL)
-        unfiltered = [
-            e for e in numeric_entries if e._labels_filtered is None
-        ]
-        if unfiltered:
-            filtered = filter_partitions_batch(
-                np.stack([e.labels_initial for e in unfiltered])
-            )
-            # Also seed the derived forms the ranking path asks for:
-            # partition representatives, row-vectorized with the exact
-            # serial association order (minimum + i*width) + width/2 of
-            # NumericPartitionSpace.midpoints, and the filtered
-            # Abnormal/Normal region views built from them.
-            mins_f = np.array([e.space.minimum for e in unfiltered])
-            widths_f = np.array([e.space.width for e in unfiltered])
-            reps_all = (
-                mins_f[:, None]
-                + np.arange(grid, dtype=np.float64)[None, :]
-                * widths_f[:, None]
-            ) + widths_f[:, None] / 2.0
-            # One nonzero over the whole matrix; np.split hands each row
-            # its ascending column indices — the same values flatnonzero
-            # yields per row.
-            cuts = np.arange(1, len(unfiltered))
-            ab_rows, ab_cols = np.nonzero(filtered == abnormal_label)
-            ab_split = np.split(ab_cols, np.searchsorted(ab_rows, cuts))
-            no_rows, no_cols = np.nonzero(filtered == normal_label)
-            no_split = np.split(no_cols, np.searchsorted(no_rows, cuts))
-            for entry, row, reps, ab_idx, no_idx in zip(
-                unfiltered, filtered, reps_all, ab_split, no_split
-            ):
-                entry._labels_filtered = row
-                entry._representatives = reps
-                entry._regions_filtered = (
-                    None
-                    if ab_idx.size == 0 or no_idx.size == 0
-                    else (
-                        reps[ab_idx],
-                        reps[no_idx],
-                        int(ab_idx.size),
-                        int(no_idx.size),
+            _EXPLAINS.inc()
+            with trace.span(
+                "explain", dataset=getattr(dataset, "name", None)
+            ) as sp:
+                out.append(
+                    self._explain_generated(
+                        dataset, spec, next(conjunctions), sp
                     )
                 )
-        if delta <= 0:
-            return
-        # Only lanes where both labels survive the filter take the
-        # normal_mean_partition=None fill the generator will ask for;
-        # abnormal-only lanes need the per-job mean partition and fall
-        # to the serial fill inside explain().  The seeded region view
-        # answers "both labels present?" without rescanning; entries
-        # carried over from earlier batches answer it memoized the same
-        # way via region_partitions.
-        fill_todo = []
-        for entry in numeric_entries:
-            if (delta, None) in entry._filled:
-                continue
-            if entry.region_partitions(apply_filtering=True) is not None:
-                fill_todo.append(entry)
-        if fill_todo:
-            filled = fill_gaps_batch(
-                np.stack([e.filtered_labels() for e in fill_todo]), delta
+        return out
+
+    def _explain_generated(
+        self,
+        dataset: Dataset,
+        spec: RegionSpec,
+        conjunction: Conjunction,
+        sp,
+    ) -> Explanation:
+        """Prune the generated predicates and rank the stored models."""
+        with trace.span("prune", candidates=len(conjunction.predicates)):
+            kept, pruned = prune_secondary_symptoms(
+                conjunction.predicates, dataset, self.rules,
+                self.kappa_threshold,
             )
-            blocks = abnormal_blocks_batch(filled)
-            for entry, filled_row, block_row in zip(
-                fill_todo, filled, blocks
-            ):
-                entry._filled[(delta, None)] = (filled_row, block_row)
+        scores, report, abstained = self._rank(dataset, spec)
+        visible = [
+            (cause, confidence)
+            for cause, confidence in scores
+            if confidence > self.lambda_threshold
+        ]
+        sp.set(
+            predicates=len(kept),
+            pruned=len(pruned),
+            causes_visible=len(visible),
+            abstained=len(abstained),
+        )
+        return Explanation(
+            predicates=Conjunction(kept),
+            pruned=pruned,
+            causes=visible,
+            all_cause_scores=scores,
+            reconciliation=report,
+            abstained=abstained,
+        )
 
     def _rank(
         self, dataset: Dataset, spec: RegionSpec

@@ -14,13 +14,13 @@ switches used by the Appendix D step-contribution study (Table 6).
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.filtering import abnormal_blocks, fill_gaps, filter_partitions
 from repro.core.partition import (
     CategoricalPartitionSpace,
     Label,
@@ -32,10 +32,16 @@ from repro.core.predicates import (
     NumericPredicate,
     Predicate,
 )
-from repro.core.separation import normalize_values, region_means
 from repro.data.dataset import Dataset
 from repro.data.regions import RegionSpec
+from repro.core.filtering import (
+    abnormal_blocks_batch,
+    fill_gaps_batch,
+    filter_partitions_batch,
+)
 from repro.obs import metrics, trace
+from repro.perf.batch import label_numeric_batch, normalized_means_batch
+from repro.perf.cache import LabeledAttribute
 
 __all__ = ["GeneratorConfig", "AttributeArtifacts", "PredicateGenerator"]
 
@@ -49,8 +55,19 @@ _PREDICATES_REJECTED = metrics.REGISTRY.counter(
 )
 _GENERATE_SECONDS = metrics.REGISTRY.histogram(
     "repro_generator_seconds",
-    "Wall time of one generate_with_artifacts pass",
+    "Wall time of Algorithm 1 per (dataset, spec); a batched pass "
+    "observes its wall time split evenly over its jobs",
 )
+
+
+def _stack(rows: Sequence[np.ndarray], width: int) -> np.ndarray:
+    """Label rows as one ``(len(rows), width)`` matrix, Empty-padded."""
+    if all(row.shape[0] == width for row in rows):
+        return np.stack(rows) if rows else np.empty((0, width), np.int64)
+    out = np.full((len(rows), width), int(Label.EMPTY), dtype=np.int64)
+    for k, row in enumerate(rows):
+        out[k, : row.shape[0]] = row
+    return out
 
 
 @dataclass(frozen=True)
@@ -112,13 +129,16 @@ class AttributeArtifacts:
 class PredicateGenerator:
     """Generates a conjunction of explanatory predicates (Algorithm 1).
 
-    Numeric attributes are labeled in one batched pass (all columns
-    stacked into a single matrix, one offset-bincount per region) rather
-    than attribute by attribute; the output is bitwise-identical to the
-    serial path.  An optional :class:`repro.perf.cache.LabeledSpaceCache`
-    shares labeled partition spaces (and region masks / normalized means)
-    with confidence scoring, so explain-then-diagnose on the same anomaly
-    labels each attribute only once.
+    All numeric attributes of a batch of ``(dataset, spec)`` jobs go
+    through Algorithm 1 together, one kernel call per step (labeling,
+    :mod:`repro.core.filtering`'s filter and fill, the θ-gate means);
+    Python only turns the rows into :class:`AttributeArtifacts` and
+    predicates.  Every row is bitwise-equal to running the steps on that
+    attribute alone (``repro.perf.golden`` is the reference), so a job's
+    artifacts do not depend on the jobs batched with it.  An optional
+    :class:`repro.perf.cache.LabeledSpaceCache` shares the labeled
+    spaces, filtered labels, fills and means with confidence scoring and
+    with later explains of the same anomaly.
     """
 
     def __init__(
@@ -137,10 +157,20 @@ class PredicateGenerator:
         attributes: Optional[Sequence[str]] = None,
     ) -> Conjunction:
         """Run Algorithm 1 over *attributes* (default: all) and conjoin."""
-        artifacts = self.generate_with_artifacts(dataset, spec, attributes)
-        return Conjunction(
-            [a.predicate for a in artifacts.values() if a.predicate is not None]
-        )
+        return self.generate_batch([(dataset, spec)], attributes)[0]
+
+    def generate_batch(
+        self,
+        jobs: Sequence[Tuple[Dataset, RegionSpec]],
+        attributes: Optional[Sequence[str]] = None,
+    ) -> List[Conjunction]:
+        """:meth:`generate` for each ``(dataset, spec)`` job, in one pass."""
+        return [
+            Conjunction(
+                [a.predicate for a in arts.values() if a.predicate is not None]
+            )
+            for arts in self.generate_with_artifacts_batch(jobs, attributes)
+        ]
 
     def generate_with_artifacts(
         self,
@@ -149,225 +179,391 @@ class PredicateGenerator:
         attributes: Optional[Sequence[str]] = None,
     ) -> Dict[str, AttributeArtifacts]:
         """Like :meth:`generate` but returns per-attribute artifacts."""
+        return self.generate_with_artifacts_batch(
+            [(dataset, spec)], attributes
+        )[0]
+
+    def generate_with_artifacts_batch(
+        self,
+        jobs: Sequence[Tuple[Dataset, RegionSpec]],
+        attributes: Optional[Sequence[str]] = None,
+    ) -> List[Dict[str, AttributeArtifacts]]:
+        """Per-attribute artifacts of each job, in one batched pass."""
+        jobs = list(jobs)
         if not trace.enabled():
-            return self._generate_with_artifacts(dataset, spec, attributes)
+            return self._generate(jobs, attributes)
         with trace.span(
             "generate_predicates",
-            dataset=getattr(dataset, "name", None),
-            attr_count=len(attributes) if attributes is not None
-            else len(dataset.attributes),
+            dataset=getattr(jobs[0][0], "name", None) if len(jobs) == 1
+            else None,
+            jobs=len(jobs),
+            attr_count=sum(
+                len(attributes) if attributes is not None
+                else len(dataset.attributes)
+                for dataset, _ in jobs
+            ),
             n_partitions=self.config.n_partitions,
         ) as sp:
             timings: Dict[str, float] = {}
-            artifacts = self._generate_with_artifacts(
-                dataset, spec, attributes, timings
-            )
+            results = self._generate(jobs, attributes, timings)
             for name in ("partition", "label", "filter", "fill", "extract"):
                 if name in timings:
                     trace.stage(name, timings[name])
-            kept = sum(1 for a in artifacts.values() if a.predicate is not None)
-            sp.set(predicates_kept=kept, predicates_rejected=len(artifacts) - kept)
-        return artifacts
+            arts = [a for job in results for a in job.values()]
+            kept = sum(a.predicate is not None for a in arts)
+            sp.set(predicates_kept=kept, predicates_rejected=len(arts) - kept)
+        return results
 
-    def _generate_with_artifacts(
+    def _generate(
         self,
-        dataset: Dataset,
-        spec: RegionSpec,
+        jobs: List[Tuple[Dataset, RegionSpec]],
         attributes: Optional[Sequence[str]] = None,
         timings: Optional[Dict[str, float]] = None,
-    ) -> Dict[str, AttributeArtifacts]:
+    ) -> List[Dict[str, AttributeArtifacts]]:
         t0 = time.perf_counter()
         start = t0
-        spec.validate(dataset)
         cache = self.cache
-        if cache is not None:
-            abnormal, normal = cache.masks(dataset, spec)
-        else:
-            abnormal = spec.abnormal_mask(dataset)
-            normal = spec.normal_mask(dataset)
+        masks: List[Tuple[np.ndarray, np.ndarray]] = []
+        names_of: List[List[str]] = []
+        numeric_of: List[List[str]] = []
+        for dataset, spec in jobs:
+            masks.append(
+                cache.masks(dataset, spec) if cache is not None
+                else spec.masks(dataset)
+            )
+            spec.validate(dataset, masks[-1])
+            names = (
+                list(attributes) if attributes is not None
+                else dataset.attributes
+            )
+            names_of.append(names)
+            numeric_of.append(
+                list(dict.fromkeys(a for a in names if dataset.is_numeric(a)))
+            )
         if timings is not None:
             now = time.perf_counter()
             timings["partition"] = now - start
             start = now
-        names = list(attributes) if attributes is not None else dataset.attributes
-        numeric_names = [a for a in names if dataset.is_numeric(a)]
-        entries: Dict[str, object] = {}
-        means_hint: Dict[str, Tuple[float, float]] = {}
         if cache is not None:
-            entries = cache.entries(
-                dataset, spec, numeric_names, self.config.n_partitions
-            )
-            means_hint = cache.peek_norm_means(dataset, spec, numeric_names)
-            labeled = {
-                attr: (entry.space, entry.labels_initial)
-                for attr, entry in entries.items()
-            }
-        else:
-            from repro.perf.batch import label_numeric_batch
-
-            labeled = label_numeric_batch(
-                dataset, numeric_names, abnormal, normal,
+            entries_of = cache.entries_batch(
+                [
+                    (dataset, spec, numeric)
+                    for (dataset, spec), numeric in zip(jobs, numeric_of)
+                ],
                 self.config.n_partitions,
             )
+        else:
+            # private entries: the memo writes below die with them
+            entries_of = [
+                {
+                    attr: LabeledAttribute(attr, True, space, labels)
+                    for attr, (space, labels) in label_numeric_batch(
+                        dataset, numeric, abnormal, normal,
+                        self.config.n_partitions,
+                    ).items()
+                }
+                for (dataset, _), numeric, (abnormal, normal) in zip(
+                    jobs, numeric_of, masks
+                )
+            ]
         if timings is not None:
             timings["label"] = time.perf_counter() - start
-        artifacts: Dict[str, AttributeArtifacts] = {}
+        numeric = self._numeric_pass(
+            jobs, numeric_of, entries_of, masks, timings
+        )
+        results: List[Dict[str, AttributeArtifacts]] = []
         kept = rejected = 0
-        for attr in names:
-            if dataset.is_numeric(attr):
-                space, labels = labeled[attr]
-                artifacts[attr] = self._numeric_attribute(
-                    dataset, spec, attr, abnormal, normal,
-                    space, labels, entries.get(attr), timings,
-                    means_hint.get(attr),
-                )
-            else:
-                artifacts[attr] = self._categorical_attribute(
-                    dataset, attr, abnormal, normal
-                )
-            if artifacts[attr].predicate is not None:
-                kept += 1
-            else:
-                rejected += 1
+        for (dataset, _), names, (abnormal, normal), numeric_arts in zip(
+            jobs, names_of, masks, numeric
+        ):
+            artifacts: Dict[str, AttributeArtifacts] = {}
+            for attr in names:
+                art = numeric_arts.get(attr)
+                if art is None:
+                    art = self._categorical_attribute(
+                        dataset, attr, abnormal, normal
+                    )
+                artifacts[attr] = art
+                if art.predicate is not None:
+                    kept += 1
+                else:
+                    rejected += 1
+            results.append(artifacts)
         _PREDICATES_KEPT.inc(kept)
         _PREDICATES_REJECTED.inc(rejected)
-        _GENERATE_SECONDS.observe(time.perf_counter() - t0)
-        return artifacts
+        per_job = (time.perf_counter() - t0) / max(len(jobs), 1)
+        for _ in jobs:
+            _GENERATE_SECONDS.observe(per_job)
+        return results
 
     # ------------------------------------------------------------------
-    # Numeric attributes (all five steps)
+    # Numeric attributes (all five steps, every attribute at once)
     # ------------------------------------------------------------------
-    def _numeric_attribute(
+    def _numeric_pass(
         self,
-        dataset: Dataset,
-        spec: RegionSpec,
-        attr: str,
-        abnormal: np.ndarray,
-        normal: np.ndarray,
-        space: NumericPartitionSpace,
-        labels: np.ndarray,
-        entry: Optional[object] = None,
-        timings: Optional[Dict[str, float]] = None,
-        means_hint: Optional[Tuple[float, float]] = None,
-    ) -> AttributeArtifacts:
-        values = dataset.column(attr)
-        art = AttributeArtifacts(
-            attr=attr, is_numeric=True, space=space, labels_initial=labels
-        )
+        jobs: List[Tuple[Dataset, RegionSpec]],
+        numeric_of: List[List[str]],
+        entries_of: List[Dict[str, LabeledAttribute]],
+        masks: List[Tuple[np.ndarray, np.ndarray]],
+        timings: Optional[Dict[str, float]],
+    ) -> List[Dict[str, AttributeArtifacts]]:
+        """Filter, fill and extract for every numeric attribute of *jobs*.
 
-        nan = np.isnan(values)
-        if nan.any():
-            considered = abnormal | normal
-            n_considered = int(considered.sum())
-            n_valid = int((considered & ~nan).sum())
-            if n_valid < self.config.min_valid_fraction * n_considered:
-                art.rejection = (
-                    f"degraded telemetry: only {n_valid}/{n_considered} "
-                    "region samples valid"
-                )
-                return art
-
-        start = time.perf_counter() if timings is not None else 0.0
-        if not self.config.enable_filtering:
-            filtered = labels
-        elif entry is not None:
-            filtered = entry.filtered_labels()
-        else:
-            filtered = filter_partitions(labels)
-        art.labels_filtered = filtered
-        if timings is not None:
-            now = time.perf_counter()
-            timings["filter"] = timings.get("filter", 0.0) + (now - start)
-            start = now
-
-        # When the cache entry already memoized its filtered regions
-        # (seeded by explain_batch, or computed on a previous visit), a
-        # non-None view proves both labels survive — skip both scans.
-        both_present = (
-            entry is not None
-            and self.config.enable_filtering
-            and entry.region_partitions(apply_filtering=True) is not None
-        )
-
-        if not both_present and not (
-            filtered == int(Label.ABNORMAL)
-        ).any():
-            art.rejection = "no abnormal partitions after filtering"
-            return art
-
-        blocks = None
-        if self.config.enable_fill:
-            normal_mean_partition = None
-            if not both_present and not (
-                filtered == int(Label.NORMAL)
-            ).any():
-                normal_values = values[normal]
-                if nan.any():
-                    normal_values = normal_values[~np.isnan(normal_values)]
-                if normal_values.size:
-                    mean_normal = float(normal_values.mean())
-                    normal_mean_partition = int(
-                        space.partition_indices(np.asarray([mean_normal]))[0]
+        The label rows of all jobs stack into one matrix, and each step
+        is one row-kernel call over the rows still in play; a row whose
+        step rejects it drops out before the next.  Rows are padded with
+        Empty to the widest space (constant columns have one partition):
+        Empty cells past a row's end change neither its filter nor its
+        fill.  Raw values stay per job (row counts differ between jobs).
+        Filtered labels and fills are memoized on the entries, and with a
+        cache so are the θ-gate means, so ranking and a repeat explain
+        reuse them.
+        """
+        config = self.config
+        clock = time.perf_counter
+        start = clock()
+        arts: List[AttributeArtifacts] = []
+        memos: List[LabeledAttribute] = []
+        job_of: List[int] = []
+        pos_of: List[int] = []
+        for j, attrs in enumerate(numeric_of):
+            for p, attr in enumerate(attrs):
+                memo = entries_of[j][attr]
+                arts.append(
+                    AttributeArtifacts(
+                        attr=attr, is_numeric=True, space=memo.space,
+                        labels_initial=memo.labels_initial,
                     )
-            if entry is not None and self.config.enable_filtering:
-                # shares (and can be pre-seeded with) the cached fill —
-                # entry.filtered_labels() is the `filtered` used above
-                filled, blocks = entry.filled_blocks(
-                    self.config.delta, normal_mean_partition
                 )
-            else:
-                filled = fill_gaps(
-                    filtered, self.config.delta, normal_mean_partition
+                memos.append(memo)
+                job_of.append(j)
+                pos_of.append(p)
+        if not arts:
+            return [{} for _ in jobs]
+        # Raw values, one matrix per row count: the attributes of job j
+        # are rows ``row0[j] + pos`` of ``matrices[j]``.
+        by_rows: Dict[int, List[int]] = {}
+        for j, (dataset, _) in enumerate(jobs):
+            if numeric_of[j]:
+                by_rows.setdefault(dataset.n_rows, []).append(j)
+        matrices: List[Optional[np.ndarray]] = [None] * len(jobs)
+        row0 = [0] * len(jobs)
+        live = list(range(len(arts)))
+        for group in by_rows.values():
+            matrix = np.stack(
+                [jobs[j][0].column(a) for j in group for a in numeric_of[j]]
+            )
+            offset = 0
+            for j in group:
+                matrices[j], row0[j] = matrix, offset
+                offset += len(numeric_of[j])
+            nan = np.isnan(matrix)
+            if not nan.any():
+                continue
+            # degraded telemetry gate: too few valid in-region samples
+            for i in range(len(arts)):
+                j = job_of[i]
+                row = nan[row0[j] + pos_of[i]] if matrices[j] is matrix else None
+                if row is None or not row.any():
+                    continue
+                considered = masks[j][0] | masks[j][1]
+                n_considered = int(considered.sum())
+                n_valid = int((considered & ~row).sum())
+                if n_valid < config.min_valid_fraction * n_considered:
+                    arts[i].rejection = (
+                        f"degraded telemetry: only {n_valid}/"
+                        f"{n_considered} region samples valid"
+                    )
+        live = [i for i in live if arts[i].rejection is None]
+        widths = [a.space.n_partitions for a in arts]
+        width = max(widths)
+
+        # Section 4.3 filter: one kernel over the rows not yet memoized.
+        if config.enable_filtering:
+            todo = [i for i in live if memos[i]._labels_filtered is None]
+            if todo:
+                rows = filter_partitions_batch(
+                    _stack([arts[i].labels_initial for i in todo], width)
                 )
+                for i, row in zip(todo, rows):
+                    # a copy: memos outlive this call, and a view would
+                    # pin the whole stacked matrix (and peak RSS with it)
+                    memos[i]._labels_filtered = row[: widths[i]].copy()
+            for i in live:
+                arts[i].labels_filtered = memos[i]._labels_filtered
         else:
-            filled = filtered
-        art.labels_filled = filled
+            for i in live:
+                arts[i].labels_filtered = arts[i].labels_initial
+        filtered = _stack([arts[i].labels_filtered for i in live], width)
+        has_abnormal = (filtered == int(Label.ABNORMAL)).any(axis=1)
+        for i in np.asarray(live, dtype=np.intp)[~has_abnormal].tolist():
+            arts[i].rejection = "no abnormal partitions after filtering"
+        has_normal = (filtered == int(Label.NORMAL)).any(axis=1)[has_abnormal]
+        filtered = filtered[has_abnormal]
+        live = np.asarray(live, dtype=np.intp)[has_abnormal].tolist()
         if timings is not None:
-            now = time.perf_counter()
-            timings["fill"] = timings.get("fill", 0.0) + (now - start)
+            now = clock()
+            timings["filter"] = now - start
             start = now
 
-        try:
-            if means_hint is not None:
-                mu_abnormal, mu_normal = means_hint
-            elif self.cache is not None:
-                mu_abnormal, mu_normal = self.cache.normalized_means(
-                    dataset, spec, attr
+        # Section 4.4 fill: rows left with only Abnormal labels first get
+        # the partition of the normal region's mean (their memo key).
+        blocks: Dict[int, list] = {}
+        if config.enable_fill and live:
+            delta = float(config.delta)
+            forced = np.zeros(len(live), dtype=np.int64)
+            keys: List[Optional[int]] = [None] * len(live)
+            for k in np.flatnonzero(~has_normal).tolist():
+                i = live[k]
+                j = job_of[i]
+                values = matrices[j][row0[j] + pos_of[i]][masks[j][1]]
+                values = values[~np.isnan(values)]
+                if not values.size:
+                    # no valid normal sample: the θ gate's region mean
+                    # is undefined too, so stop here
+                    arts[i].rejection = (
+                        "degraded telemetry: region mean undefined"
+                    )
+                    continue
+                keys[k] = int(
+                    arts[i].space.partition_indices(
+                        np.asarray([float(values.mean())])
+                    )[0]
                 )
-            else:
-                normalized = normalize_values(values)
-                mu_abnormal, mu_normal = region_means(
-                    normalized, abnormal, normal
+                forced[k] = keys[k]
+            memoize = config.enable_filtering
+            todo = []
+            for k, i in enumerate(live):
+                if arts[i].rejection is not None:
+                    continue
+                got = (
+                    memos[i]._filled.get((delta, keys[k])) if memoize else None
                 )
+                if got is None:
+                    todo.append(k)
+                else:
+                    arts[i].labels_filled, blocks[i] = got
+            if todo:
+                filled = fill_gaps_batch(filtered[todo], delta, forced[todo])
+                ends = np.array([widths[live[k]] for k in todo])
+                if (ends < width).any():
+                    # clear the fill spilled into a narrow row's padding
+                    filled[np.arange(width) >= ends[:, None]] = int(
+                        Label.EMPTY
+                    )
+                for k, row, row_blocks in zip(
+                    todo, filled, abnormal_blocks_batch(filled)
+                ):
+                    i = live[k]
+                    got = (row[: widths[i]].copy(), row_blocks)
+                    if memoize:
+                        memos[i]._filled[(delta, keys[k])] = got
+                    arts[i].labels_filled, blocks[i] = got
+            live = [i for i in live if arts[i].rejection is None]
+        elif live:
+            for i, row_blocks in zip(live, abnormal_blocks_batch(filtered)):
+                arts[i].labels_filled = arts[i].labels_filtered
+                blocks[i] = row_blocks
+        if timings is not None:
+            now = clock()
+            timings["fill"] = now - start
+            start = now
+
+        # Section 4.5 extract: θ-gate means, then one block → predicate.
+        for i, (mu_abnormal, mu_normal) in self._region_means(
+            jobs, arts, matrices, row0, job_of, pos_of, live, masks
+        ):
+            art = arts[i]
             art.normalized_difference = abs(mu_abnormal - mu_normal)
-            if not np.isfinite(art.normalized_difference):
+            if not math.isfinite(art.normalized_difference):
                 # a region with no valid samples yields a NaN mean: no evidence
                 art.rejection = "degraded telemetry: region mean undefined"
-                return art
-
-            if blocks is None:
-                blocks = abnormal_blocks(filled)
-            if len(blocks) != 1:
-                art.rejection = f"{len(blocks)} abnormal blocks (need exactly 1)"
-                return art
-            if art.normalized_difference <= self.config.theta:
+                continue
+            if len(blocks[i]) != 1:
+                art.rejection = (
+                    f"{len(blocks[i])} abnormal blocks (need exactly 1)"
+                )
+                continue
+            if art.normalized_difference <= config.theta:
                 art.rejection = (
                     f"normalized difference {art.normalized_difference:.3f} "
-                    f"<= theta {self.config.theta}"
+                    f"<= theta {config.theta}"
                 )
-                return art
-
-            lo, hi = blocks[0]
-            if lo == 0 and hi == space.n_partitions - 1:
+                continue
+            lo, hi = blocks[i][0]
+            if lo == 0 and hi == art.space.n_partitions - 1:
                 art.rejection = "abnormal block spans the entire domain"
-                return art
-            art.predicate = self._block_to_predicate(space, lo, hi)
-            return art
-        finally:
-            if timings is not None:
-                timings["extract"] = timings.get("extract", 0.0) + (
-                    time.perf_counter() - start
+                continue
+            art.predicate = self._block_to_predicate(art.space, lo, hi)
+        if timings is not None:
+            timings["extract"] = clock() - start
+        results: List[Dict[str, AttributeArtifacts]] = [{} for _ in jobs]
+        for i, art in enumerate(arts):
+            results[job_of[i]][art.attr] = art
+        return results
+
+    def _region_means(
+        self,
+        jobs: List[Tuple[Dataset, RegionSpec]],
+        arts: List[AttributeArtifacts],
+        matrices: List[Optional[np.ndarray]],
+        row0: List[int],
+        job_of: List[int],
+        pos_of: List[int],
+        rows: List[int],
+        masks: List[Tuple[np.ndarray, np.ndarray]],
+    ) -> List[Tuple[int, Tuple[float, float]]]:
+        """Normalized ``(µA, µN)`` of the attributes at *rows* (cached).
+
+        The pairs the cache does not hold yet are computed by one
+        :func:`normalized_means_batch` call per row count, each job's
+        rows with its own region masks.
+        """
+        by_job: Dict[int, List[int]] = {}
+        for i in rows:
+            by_job.setdefault(job_of[i], []).append(i)
+        means: Dict[int, Tuple[float, float]] = {}
+        # row count -> [(job, rows to compute)]
+        todo: Dict[int, List[Tuple[int, List[int]]]] = {}
+        for j, job_rows in by_job.items():
+            cached = (
+                self.cache.peek_norm_means(
+                    *jobs[j], [arts[i].attr for i in job_rows]
                 )
+                if self.cache is not None
+                else {}
+            )
+            missing = []
+            for i in job_rows:
+                pair = cached.get(arts[i].attr)
+                if pair is None:
+                    missing.append(i)
+                else:
+                    means[i] = pair
+            if missing:
+                todo.setdefault(matrices[j].shape[1], []).append((j, missing))
+        published = []
+        for group in todo.values():
+            bounds = np.cumsum([0] + [len(missing) for _, missing in group])
+            computed = normalized_means_batch(
+                matrices[group[0][0]][
+                    [row0[j] + pos_of[i] for j, missing in group for i in missing]
+                ],
+                [masks[j][0] for j, _ in group],
+                [masks[j][1] for j, _ in group],
+                bounds,
+            ).tolist()
+            for k, (j, missing) in enumerate(group):
+                pairs = computed[bounds[k] : bounds[k + 1]]
+                published.append((
+                    *jobs[j],
+                    {arts[i].attr: tuple(p) for i, p in zip(missing, pairs)},
+                ))
+                for i, pair in zip(missing, pairs):
+                    means[i] = tuple(pair)
+        if self.cache is not None:
+            self.cache.publish_normalized_means(published)
+        return [(i, means[i]) for i in rows]
 
     @staticmethod
     def _block_to_predicate(

@@ -24,6 +24,7 @@ actually being present.
 from __future__ import annotations
 
 import enum
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -181,7 +182,7 @@ class NumericPartitionSpace:
         space.attr = attr
         space.minimum = float(minimum)
         space.maximum = float(maximum)
-        if not (np.isfinite(space.minimum) and np.isfinite(space.maximum)):
+        if not (math.isfinite(space.minimum) and math.isfinite(space.maximum)):
             # degenerate stats (e.g. an all-NaN column): neutral space
             space.minimum = space.maximum = 0.0
         if space.maximum > space.minimum:

@@ -101,21 +101,30 @@ class RegionSpec:
         overlap with abnormal intervals; otherwise it is the complement of
         the abnormal mask.
         """
+        return self.masks(dataset)[1]
+
+    def masks(self, dataset: Dataset) -> Tuple[np.ndarray, np.ndarray]:
+        """``(abnormal_mask, normal_mask)``, scanning the abnormal
+        intervals once."""
         abnormal = self.abnormal_mask(dataset)
         if self.normal is None:
-            return ~abnormal
+            return abnormal, ~abnormal
         mask = np.zeros(dataset.n_rows, dtype=bool)
         for region in self.normal:
             mask |= region.contains(dataset.timestamps)
-        return mask & ~abnormal
+        return abnormal, mask & ~abnormal
 
-    def validate(self, dataset: Dataset) -> None:
+    def validate(
+        self,
+        dataset: Dataset,
+        masks: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> None:
         """Raise ``ValueError`` on empty, out-of-bounds, or overlapping regions.
 
         Checks, in order: every abnormal interval must intersect the
         dataset's time span; explicit normal intervals must not overlap
-        any abnormal interval; and both effective region masks must be
-        non-empty.
+        any abnormal interval; and both effective region masks (*masks*,
+        when the caller already holds :meth:`masks`) must be non-empty.
         """
         if dataset.n_rows:
             lo = float(dataset.timestamps[0])
@@ -136,9 +145,10 @@ class RegionSpec:
                             f"overlaps abnormal region "
                             f"[{abnormal.start}, {abnormal.end}]"
                         )
-        if not self.abnormal_mask(dataset).any():
+        abnormal, normal = masks if masks is not None else self.masks(dataset)
+        if not abnormal.any():
             raise ValueError("abnormal region matches no rows")
-        if not self.normal_mask(dataset).any():
+        if not normal.any():
             raise ValueError("normal region matches no rows")
 
     def clamped(self, dataset: Dataset) -> "RegionSpec":

@@ -9,7 +9,8 @@ attributes one at a time.  This package amortizes that redundancy:
               labels, region masks, and normalized region means, shared
               between predicate generation and confidence scoring;
 ``batch``     batched numeric labeling — all numeric columns discretized
-              and counted in one stacked ``np.bincount`` pass;
+              and counted in one stacked ``np.bincount`` pass — and the
+              row kernels the generator runs for the rest of Algorithm 1;
 ``parallel``  :func:`parallel_map` — deterministic process-pool mapping
               with a serial fallback and a ``REPRO_JOBS`` override;
 ``golden``    frozen copies of the original serial implementations, used

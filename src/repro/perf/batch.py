@@ -9,25 +9,30 @@ counts for *every* attribute come from a single offset ``np.bincount``
 call per region (column ``j`` owns the index range
 ``[j*R, (j+1)*R)`` of the flattened count vector).
 
-Bitwise identity with the serial path is load-bearing (the golden-output
-tests assert it): the per-element float operations are exactly those of
-:meth:`NumericPartitionSpace.partition_indices`, and min/max/bincount are
-exact regardless of evaluation order.
+:func:`normalized_means_batch` computes the θ-gate statistics for many
+attributes the same way.  The filter, fill and block steps that run on
+the label rows live in :mod:`repro.core.filtering`.
+
+Bitwise identity with the per-attribute path is load-bearing (the
+golden-output tests assert it): the per-element float operations are
+exactly those of :meth:`NumericPartitionSpace.partition_indices`,
+min/max/bincount are exact regardless of evaluation order, the label
+kernels are integer-only, and every float reduction runs over one
+C-contiguous row.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
-    "abnormal_blocks_batch",
-    "fill_gaps_batch",
-    "filter_partitions_batch",
     "label_numeric_batch",
+    "label_rows_batch",
     "normalize_columns_batch",
+    "normalized_means_batch",
     "potential_power_batch",
 ]
 
@@ -83,15 +88,43 @@ def label_numeric_batch(
     are bitwise-identical to ``space = NumericPartitionSpace(attr, values,
     n_partitions); space.label(values, abnormal_mask, normal_mask)``.
     """
-    from repro.core.partition import Label, NumericPartitionSpace
+    from repro.core.partition import NumericPartitionSpace
 
     attrs = list(attrs)
     if not attrs:
         return {}
+    matrix = np.stack([dataset.column(a) for a in attrs], axis=0)
+    mins, maxs, labels_grid = label_rows_batch(
+        matrix, abnormal_mask, normal_mask, n_partitions
+    )
+    out: Dict[str, Tuple[object, np.ndarray]] = {}
+    for j, attr in enumerate(attrs):
+        space = NumericPartitionSpace.from_stats(
+            attr, mins[j], maxs[j], n_partitions
+        )
+        out[attr] = (space, labels_grid[j, : space.n_partitions].copy())
+    return out
+
+
+def label_rows_batch(
+    matrix: np.ndarray,
+    abnormal_mask: np.ndarray,
+    normal_mask: np.ndarray,
+    n_partitions: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partition and label the rows of an ``(n_attrs, n_rows)`` matrix.
+
+    The region masks are either ``(n_rows,)``, shared by every row, or
+    ``(n_attrs, n_rows)``, one per row, so attributes of different
+    anomalies (same row count) label in one pass.  Returns ``(mins,
+    maxs, labels)``: the partition-space bounds of each row and its
+    labels on an ``(n_attrs, R)`` grid (a one-partition constant row
+    uses column 0 only).
+    """
+    from repro.core.partition import Label
+
     if int(n_partitions) < 1:
         raise ValueError("n_partitions must be at least 1")
-
-    matrix = np.stack([dataset.column(a) for a in attrs], axis=0)
     n_attrs = matrix.shape[0]
     nan = np.isnan(matrix)
     has_nan = bool(nan.any())
@@ -121,24 +154,18 @@ def label_numeric_batch(
 
     offsets = (np.arange(n_attrs, dtype=np.int64) * grid)[:, None]
     flat = idx + offsets
-    if has_nan:
-        # NaN cells belong to no partition: drop them from both counts
-        valid = ~nan
-        counts_abnormal = np.bincount(
-            flat[:, abnormal_mask][valid[:, abnormal_mask]],
-            minlength=n_attrs * grid,
-        ).reshape(n_attrs, grid)
-        counts_normal = np.bincount(
-            flat[:, normal_mask][valid[:, normal_mask]],
-            minlength=n_attrs * grid,
-        ).reshape(n_attrs, grid)
-    else:
-        counts_abnormal = np.bincount(
-            flat[:, abnormal_mask].ravel(), minlength=n_attrs * grid
-        ).reshape(n_attrs, grid)
-        counts_normal = np.bincount(
-            flat[:, normal_mask].ravel(), minlength=n_attrs * grid
-        ).reshape(n_attrs, grid)
+    counts = []
+    for mask in (abnormal_mask, normal_mask):
+        mask = np.broadcast_to(mask, matrix.shape)
+        if has_nan:
+            # NaN cells belong to no partition: drop them from both counts
+            mask = mask & ~nan
+        counts.append(
+            np.bincount(flat[mask], minlength=n_attrs * grid).reshape(
+                n_attrs, grid
+            )
+        )
+    counts_abnormal, counts_normal = counts
 
     labels_grid = np.full((n_attrs, grid), int(Label.EMPTY), dtype=np.int64)
     labels_grid[(counts_abnormal > 0) & (counts_normal == 0)] = int(
@@ -147,162 +174,15 @@ def label_numeric_batch(
     labels_grid[(counts_normal > 0) & (counts_abnormal == 0)] = int(
         Label.NORMAL
     )
-
-    out: Dict[str, Tuple[object, np.ndarray]] = {}
-    for j, attr in enumerate(attrs):
-        space = NumericPartitionSpace.from_stats(
-            attr, mins[j], maxs[j], n_partitions
-        )
-        out[attr] = (space, labels_grid[j, : space.n_partitions].copy())
-    return out
-
-
-def _nearest_non_empty_rows(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-batched :func:`repro.core.filtering._nearest_non_empty`.
-
-    *labels* is ``(n_rows, n_partitions)``; returns ``(left, right)`` of
-    the same shape with -1 where no non-Empty partition exists on that
-    side.  Prefix max / suffix min scans along axis 1 — integer ops, so
-    each row is exactly the serial scan.
-    """
-    from repro.core.partition import Label
-
-    m, n = labels.shape
-    nonempty = labels != int(Label.EMPTY)
-    idx = np.arange(n, dtype=np.int64)
-    last = np.where(nonempty, idx[None, :], -1)
-    left = np.empty((m, n), dtype=np.int64)
-    left[:, 0] = -1
-    if n > 1:
-        left[:, 1:] = np.maximum.accumulate(last, axis=1)[:, :-1]
-    nxt = np.where(nonempty, idx[None, :], n)
-    right = np.empty((m, n), dtype=np.int64)
-    right[:, -1] = -1
-    if n > 1:
-        right[:, :-1] = np.minimum.accumulate(nxt[:, ::-1], axis=1)[:, ::-1][:, 1:]
-        right[right == n] = -1
-    return left, right
-
-
-def filter_partitions_batch(labels: np.ndarray) -> np.ndarray:
-    """Section 4.3 filtering for many label rows at once.
-
-    *labels* is ``(n_rows, n_partitions)``; row ``i`` of the result is
-    bitwise-identical to ``filter_partitions(labels[i])`` — same
-    neighbour scans, same lone-label exemptions, all integer ops.
-    """
-    from repro.core.partition import Label
-
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 2:
-        raise ValueError("labels must be (n_rows, n_partitions)")
-    result = labels.copy()
-    if 0 in labels.shape:
-        return result
-    left, right = _nearest_non_empty_rows(labels)
-    is_abnormal = labels == int(Label.ABNORMAL)
-    is_normal = labels == int(Label.NORMAL)
-    eligible = (labels != int(Label.EMPTY)) & (left >= 0) & (right >= 0)
-    lone_abnormal = is_abnormal.sum(axis=1) == 1
-    eligible &= ~(lone_abnormal[:, None] & is_abnormal)
-    lone_normal = is_normal.sum(axis=1) == 1
-    eligible &= ~(lone_normal[:, None] & is_normal)
-    left_label = np.take_along_axis(labels, np.clip(left, 0, None), axis=1)
-    right_label = np.take_along_axis(labels, np.clip(right, 0, None), axis=1)
-    disagree = (left_label != labels) | (right_label != labels)
-    result[eligible & disagree] = int(Label.EMPTY)
-    return result
-
-
-def fill_gaps_batch(labels: np.ndarray, delta: float) -> np.ndarray:
-    """Section 4.4 gap filling for many label rows at once.
-
-    Row ``i`` of the result is bitwise-identical to
-    ``fill_gaps(labels[i], delta)``.  Rows where only Abnormal labels
-    remain need a ``normal_mean_partition`` and must be handled by the
-    serial path — passing one raises, exactly like the serial function.
-    Rows with no non-Empty partitions at all pass through unchanged.
-    """
-    from repro.core.partition import Label
-
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 2:
-        raise ValueError("labels must be (n_rows, n_partitions)")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    filled = labels.copy()
-    if 0 in labels.shape:
-        return filled
-    has_abnormal = (labels == int(Label.ABNORMAL)).any(axis=1)
-    has_normal = (labels == int(Label.NORMAL)).any(axis=1)
-    if bool((has_abnormal & ~has_normal).any()):
-        raise ValueError(
-            "only Abnormal partitions remain; normal_mean_partition required"
-        )
-    # Rows with neither label present stay unchanged: every cell is Empty,
-    # so left/right are -1 everywhere and no branch below touches them.
-    left, right = _nearest_non_empty_rows(labels)
-    empty = labels == int(Label.EMPTY)
-    left_label = np.take_along_axis(labels, np.clip(left, 0, None), axis=1)
-    right_label = np.take_along_axis(labels, np.clip(right, 0, None), axis=1)
-
-    only_left = empty & (left >= 0) & (right < 0)
-    filled[only_left] = left_label[only_left]
-    only_right = empty & (left < 0) & (right >= 0)
-    filled[only_right] = right_label[only_right]
-
-    both = empty & (left >= 0) & (right >= 0)
-    agree = both & (left_label == right_label)
-    filled[agree] = left_label[agree]
-
-    idx = np.arange(labels.shape[1], dtype=np.int64)
-    dist_left = (idx[None, :] - left).astype(np.float64)
-    dist_right = (right - idx[None, :]).astype(np.float64)
-    left_is_abnormal = left_label == int(Label.ABNORMAL)
-    dist_abnormal = np.where(left_is_abnormal, dist_left, dist_right)
-    dist_normal = np.where(left_is_abnormal, dist_right, dist_left)
-    abnormal_label = np.where(left_is_abnormal, left_label, right_label)
-    normal_label = np.where(left_is_abnormal, right_label, left_label)
-    chosen = np.where(
-        dist_abnormal * delta < dist_normal, abnormal_label, normal_label
-    )
-    disagree = both & (left_label != right_label)
-    filled[disagree] = chosen[disagree]
-    return filled
-
-
-def abnormal_blocks_batch(labels: np.ndarray) -> list:
-    """Per-row contiguous Abnormal runs, matching ``abnormal_blocks``.
-
-    Returns a list of ``n_rows`` lists of ``(start, end)`` int tuples.
-    One padded ``np.diff`` + ``np.nonzero`` finds every run edge; the
-    row-major order of ``np.nonzero`` pairs the k-th start of a row with
-    its k-th end.
-    """
-    from repro.core.partition import Label
-
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 2:
-        raise ValueError("labels must be (n_rows, n_partitions)")
-    m, n = labels.shape
-    blocks: list = [[] for _ in range(m)]
-    if m == 0 or n == 0:
-        return blocks
-    padded = np.zeros((m, n + 2), dtype=np.int8)
-    padded[:, 1:-1] = labels == int(Label.ABNORMAL)
-    edges = np.diff(padded, axis=1)
-    row_s, starts = np.nonzero(edges == 1)
-    ends = np.nonzero(edges == -1)[1] - 1
-    for r, s, e in zip(row_s.tolist(), starts.tolist(), ends.tolist()):
-        blocks[r].append((s, e))
-    return blocks
+    return mins, maxs, labels_grid
 
 
 def normalize_columns_batch(matrix: np.ndarray) -> np.ndarray:
     """Row-batched :func:`repro.core.separation.normalize_values`.
 
-    *matrix* is ``(n_attrs, n_rows)`` and must be NaN-free (callers fall
-    back to the serial function for degraded columns).  Each row is
+    *matrix* is ``(n_attrs, n_rows)`` and must be NaN-free
+    (:func:`normalized_means_batch` sends degraded rows to the serial
+    function).  Each row is
     min/max-scaled with the exact elementwise ``(v - lo) / span``
     expression of the serial path; constant rows (span <= 0) become
     zeros.
@@ -320,3 +200,56 @@ def normalize_columns_batch(matrix: np.ndarray) -> np.ndarray:
     normalized = (matrix - mins[:, None]) / safe[:, None]
     normalized[degenerate] = 0.0
     return normalized
+
+
+def normalized_means_batch(
+    matrix: np.ndarray,
+    abnormal_mask,
+    normal_mask,
+    bounds: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """The θ-gate statistics ``(µA, µN)`` for many attributes at once.
+
+    *matrix* is ``(n_attrs, n_rows)``; returns ``(n_attrs, 2)``, row ``i``
+    bitwise-equal to ``region_means(normalize_values(matrix[i]), ...)``.
+    With *bounds* ``[0, b1, ..., n_attrs]`` the masks are sequences:
+    rows ``bounds[k]:bounds[k + 1]`` (one anomaly's attributes) use the
+    k-th mask pair, so attributes of many anomalies with the same row
+    count share one normalization.  NaN-free rows are normalized in one
+    :func:`normalize_columns_batch` and reduced over the region columns
+    gathered with ``take``: that copy stays C-ordered, so each row sums
+    with the same pairwise tree as the 1-D ``values[mask].mean()``.  (A
+    boolean index on axis 1, ``m[:, mask]``, returns an F-ordered copy
+    whose row means differ in the last bit.)  Rows holding NaN cells
+    take the serial NaN-aware path.
+    """
+    from repro.core.separation import normalize_values, region_means
+
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if bounds is None:
+        bounds = [0, matrix.shape[0]]
+        abnormal_mask, normal_mask = [abnormal_mask], [normal_mask]
+    for abnormal, normal in zip(abnormal_mask, normal_mask):
+        if not abnormal.any() or not normal.any():
+            raise ValueError("both regions must contain tuples")
+    means = np.empty((matrix.shape[0], 2), dtype=np.float64)
+    if matrix.shape[0] == 0:
+        return means
+    nan_rows = np.isnan(matrix).any(axis=1)
+    # rows are normalized independently: zero the NaN rows for the batch
+    # pass and recompute them serially below
+    normalized = normalize_columns_batch(
+        np.where(nan_rows[:, None], 0.0, matrix) if nan_rows.any() else matrix
+    )
+    for k, (abnormal, normal) in enumerate(zip(abnormal_mask, normal_mask)):
+        rows = normalized[bounds[k] : bounds[k + 1]]
+        for col, mask in enumerate((abnormal, normal)):
+            means[bounds[k] : bounds[k + 1], col] = rows.take(
+                np.flatnonzero(mask), axis=1
+            ).mean(axis=1)
+    for i in np.flatnonzero(nan_rows).tolist():
+        k = int(np.searchsorted(bounds, i, side="right")) - 1
+        means[i] = region_means(
+            normalize_values(matrix[i]), abnormal_mask[k], normal_mask[k]
+        )
+    return means

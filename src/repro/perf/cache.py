@@ -7,8 +7,10 @@ per ``(dataset, region-spec, attribute, n_partitions)``:
 
 * the partition space (numeric or categorical),
 * the initial partition labels,
-* the Section 4.3 filtered labels (lazily, on first request),
-* the Section 4.4 gap-filled labels and Abnormal blocks (lazily, per δ),
+* the Section 4.3 filtered labels (written by the predicate generator's
+  batched pass, or computed lazily on first request),
+* the Section 4.4 gap-filled labels and Abnormal blocks, per
+  ``(δ, normal-mean partition)`` (written by the generator's pass),
 * the partition representatives (midpoints / category values, lazily),
 
 plus, keyed per ``(dataset, region-spec)``, the abnormal/normal row masks
@@ -59,7 +61,7 @@ import numpy as np
 
 from repro.obs import metrics
 
-__all__ = ["LabeledAttribute", "LabeledSpaceCache"]
+__all__ = ["LabeledAttribute", "LabeledSpaceCache", "build_region_partitions"]
 
 _UNSET = object()
 
@@ -116,29 +118,6 @@ class LabeledAttribute:
                 self._labels_filtered = self.labels_initial
         return self._labels_filtered
 
-    def filled_blocks(
-        self, delta: float, normal_mean_partition: Optional[int] = None
-    ) -> Tuple[np.ndarray, list]:
-        """Gap-filled labels and their Abnormal blocks, memoized per δ.
-
-        The fill step is deterministic given the filtered labels, δ, and
-        the normal-mean partition, so one computation serves every
-        diagnosis of the same anomaly — and the fused
-        :meth:`repro.core.explain.DBSherlock.explain_batch` path can seed
-        this memo from its batched kernels.
-        """
-        key = (float(delta), normal_mean_partition)
-        got = self._filled.get(key)
-        if got is None:
-            from repro.core.filtering import abnormal_blocks, fill_gaps
-
-            filled = fill_gaps(
-                self.filtered_labels(), delta, normal_mean_partition
-            )
-            got = (filled, abnormal_blocks(filled))
-            self._filled[key] = got
-        return got
-
     def representatives(self) -> np.ndarray:
         """Per-partition representative values (midpoints / categories)."""
         if self._representatives is None:
@@ -160,27 +139,59 @@ class LabeledAttribute:
         is bitwise-identical while touching far fewer partitions.
         """
         slot = "_regions_filtered" if apply_filtering else "_regions_initial"
-        regions = getattr(self, slot)
-        if regions is _UNSET:
-            from repro.core.partition import Label
+        if getattr(self, slot) is _UNSET:
+            build_region_partitions([self], apply_filtering)
+        return getattr(self, slot)
 
-            labels = (
-                self.filtered_labels() if apply_filtering else self.labels_initial
-            )
-            abnormal_idx = np.flatnonzero(labels == int(Label.ABNORMAL))
-            normal_idx = np.flatnonzero(labels == int(Label.NORMAL))
-            if abnormal_idx.size == 0 or normal_idx.size == 0:
-                regions = None
-            else:
-                reps = self.representatives()
-                regions = (
-                    reps[abnormal_idx],
-                    reps[normal_idx],
-                    int(abnormal_idx.size),
-                    int(normal_idx.size),
-                )
-            setattr(self, slot, regions)
-        return regions
+
+def build_region_partitions(
+    entries: Sequence[LabeledAttribute], apply_filtering: bool = True
+) -> None:
+    """Build the missing :meth:`LabeledAttribute.region_partitions` views.
+
+    Numeric entries take one pass: stacked (Empty-padded) label rows,
+    every row's midpoints from one expression with the per-element
+    operations of :meth:`NumericPartitionSpace.midpoints` (so
+    bitwise-equal), and one boolean gather per region.
+    """
+    from repro.core.partition import Label
+
+    slot = "_regions_filtered" if apply_filtering else "_regions_initial"
+    todo = [e for e in dict.fromkeys(entries) if getattr(e, slot) is _UNSET]
+    labels = {
+        e: e.filtered_labels() if apply_filtering else e.labels_initial
+        for e in todo
+    }
+    views = {}
+    numeric = [e for e in todo if e.is_numeric]
+    if numeric:
+        width = max(labels[e].shape[0] for e in numeric)
+        grid = np.full((len(numeric), width), int(Label.EMPTY), dtype=np.int64)
+        for row, entry in enumerate(numeric):
+            grid[row, : labels[entry].shape[0]] = labels[entry]
+        minimum = np.array([e.space.minimum for e in numeric])[:, None]
+        step = np.array([e.space.width for e in numeric])[:, None]
+        reps = (minimum + np.arange(width, dtype=np.float64) * step) + step / 2.0
+        reps = np.where(step == 0, minimum, reps)
+        for label in (Label.ABNORMAL, Label.NORMAL):
+            mask = grid == int(label)
+            ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+            gathered = reps[mask]
+            for entry, start, end in zip(numeric, [0] + ends[:-1], ends):
+                views.setdefault(entry, []).append(gathered[start:end])
+    for entry in todo:
+        if entry.is_numeric:
+            abnormal, normal = views[entry]
+        else:
+            reps = entry.representatives()
+            abnormal = reps[labels[entry] == int(Label.ABNORMAL)]
+            normal = reps[labels[entry] == int(Label.NORMAL)]
+        setattr(
+            entry, slot,
+            (abnormal, normal, abnormal.size, normal.size)
+            if abnormal.size and normal.size
+            else None,
+        )
 
 
 def _spec_key(spec) -> tuple:
@@ -265,13 +276,13 @@ class LabeledSpaceCache:
                 self._by_dataset[token] = set()
         return token
 
-    def _register(self, token: int, table: str, key: tuple) -> bool:
-        """Record *key* against its dataset; False if it was evicted."""
+    def _register(self, token: int, table: str, keys) -> bool:
+        """Record *keys* against their dataset; False if it was evicted."""
         with self._reg_lock:
             members = self._by_dataset.get(token)
             if members is None:
                 return False
-            members.add((table, key))
+            members.update((table, key) for key in keys)
             return True
 
     def _reap(self) -> None:
@@ -387,20 +398,38 @@ class LabeledSpaceCache:
     # ------------------------------------------------------------------
     # Cached computations
     # ------------------------------------------------------------------
-    def _publish(self, shard: _Shard, table: str, token: int, key: tuple, value):
-        """Check-then-publish *value*; return the table's winning value."""
-        mapping = getattr(shard, table)
-        with shard.lock:
-            existing = mapping.get(key)
-            if existing is not None:
-                return existing
-            mapping[key] = value
-        if not self._register(token, table, key):
-            # the dataset was evicted between compute and publish: keep the
-            # value for the caller but do not leave an orphan in the table
+    def _publish_many(self, table: str, items: dict) -> dict:
+        """Check-then-publish ``{key: value}``; every key starts with its
+        dataset token.
+
+        One lock round-trip per shard touched and one registration per
+        dataset.  Returns ``{key: winning value}``.
+        """
+        by_shard: Dict[int, list] = {}
+        for key in items:
+            by_shard.setdefault(hash(key) % self._n_shards, []).append(key)
+        winners = dict(items)
+        fresh: Dict[int, list] = {}
+        for index, keys in by_shard.items():
+            shard = self._shards[index]
+            mapping = getattr(shard, table)
             with shard.lock:
-                mapping.pop(key, None)
-        return value
+                for key in keys:
+                    existing = mapping.get(key)
+                    if existing is not None:
+                        winners[key] = existing
+                    else:
+                        mapping[key] = items[key]
+                        fresh.setdefault(key[0], []).append(key)
+        for token, keys in fresh.items():
+            if not self._register(token, table, keys):
+                # the dataset was evicted between compute and publish: keep
+                # the values for the caller but leave no orphans behind
+                for key in keys:
+                    shard = self._shard_of(key)
+                    with shard.lock:
+                        getattr(shard, table).pop(key, None)
+        return winners
 
     def masks(self, dataset, spec) -> Tuple[np.ndarray, np.ndarray]:
         """The (abnormal, normal) row masks of *spec* on *dataset*."""
@@ -414,8 +443,8 @@ class LabeledSpaceCache:
             return cached
         shard.misses += 1
         _CACHE_MISSES.inc()
-        computed = (spec.abnormal_mask(dataset), spec.normal_mask(dataset))
-        return self._publish(shard, "masks", token, key, computed)
+        computed = spec.masks(dataset)
+        return self._publish_many("masks", {key: computed})[key]
 
     def entries(
         self,
@@ -425,53 +454,112 @@ class LabeledSpaceCache:
         n_partitions: int,
     ) -> Dict[str, LabeledAttribute]:
         """Labeled spaces for *attrs*, batch-computing the missing ones."""
-        token = self._token(dataset)
-        skey = _spec_key(spec)
-        found: Dict[str, LabeledAttribute] = {}
-        missing_numeric: List[str] = []
-        missing_categorical: List[str] = []
-        n_hits = 0
-        for attr in attrs:
-            key = (token, skey, attr, int(n_partitions))
-            entry = self._shard_of(key).entries.get(key)  # lock-free
-            if entry is not None:
-                n_hits += 1
-                found[attr] = entry
-            elif dataset.is_numeric(attr):
-                missing_numeric.append(attr)
-            else:
-                missing_categorical.append(attr)
-        if n_hits:
-            # batch the counter updates: one locked inc per call, not per attr
-            self._shard_of((token, skey)).hits += n_hits
-            _CACHE_HITS.inc(n_hits)
-        if missing_numeric or missing_categorical:
+        return self.entries_batch([(dataset, spec, attrs)], n_partitions)[0]
+
+    def entries_batch(
+        self,
+        requests: Sequence[tuple],
+        n_partitions: int,
+    ) -> List[Dict[str, LabeledAttribute]]:
+        """:meth:`entries` for many ``(dataset, spec, attrs)`` requests.
+
+        The missing numeric attributes of every request are labeled
+        together: one :func:`~repro.perf.batch.label_rows_batch` call per
+        row count, each row with its own anomaly's region masks.
+        """
+        from repro.core.partition import (
+            CategoricalPartitionSpace,
+            NumericPartitionSpace,
+        )
+        from repro.perf.batch import label_rows_batch
+
+        results: List[Dict[str, LabeledAttribute]] = []
+        # row count -> [(found, token, skey, dataset, attrs, masks)]
+        groups: Dict[int, list] = {}
+        # (found, token, skey, attrs) whose computed entries await publishing
+        fresh: List[tuple] = []
+        for dataset, spec, attrs in requests:
+            token = self._token(dataset)
+            skey = _spec_key(spec)
+            found: Dict[str, LabeledAttribute] = {}
+            results.append(found)
+            missing_numeric: List[str] = []
+            missing_categorical: List[str] = []
+            n_hits = 0
+            for attr in attrs:
+                key = (token, skey, attr, int(n_partitions))
+                entry = self._shard_of(key).entries.get(key)  # lock-free
+                if entry is not None:
+                    n_hits += 1
+                    found[attr] = entry
+                elif dataset.is_numeric(attr):
+                    missing_numeric.append(attr)
+                else:
+                    missing_categorical.append(attr)
+            if n_hits:
+                # batch the counter updates: one inc per request, not per attr
+                self._shard_of((token, skey)).hits += n_hits
+                _CACHE_HITS.inc(n_hits)
+            if not (missing_numeric or missing_categorical):
+                continue
             n_missing = len(missing_numeric) + len(missing_categorical)
             self._shard_of((token, skey)).misses += n_missing
             _CACHE_MISSES.inc(n_missing)
             abnormal, normal = self.masks(dataset, spec)
             if missing_numeric:
-                from repro.perf.batch import label_numeric_batch
-
-                labeled = label_numeric_batch(
-                    dataset, missing_numeric, abnormal, normal, n_partitions
+                groups.setdefault(abnormal.shape[0], []).append(
+                    (found, token, skey, dataset, missing_numeric,
+                     abnormal, normal)
                 )
-                for attr, (space, labels) in labeled.items():
-                    found[attr] = self._store(
-                        token, skey, attr, n_partitions,
-                        LabeledAttribute(attr, True, space, labels),
-                    )
             for attr in missing_categorical:
-                from repro.core.partition import CategoricalPartitionSpace
-
                 values = dataset.column(attr)
                 space = CategoricalPartitionSpace(attr, values)
                 labels = space.label(values, abnormal, normal)
-                found[attr] = self._store(
-                    token, skey, attr, n_partitions,
-                    LabeledAttribute(attr, False, space, labels),
-                )
-        return found
+                found[attr] = LabeledAttribute(attr, False, space, labels)
+            fresh.append((found, token, skey, missing_categorical))
+        for group in groups.values():
+            matrix = np.stack(
+                [
+                    dataset.column(attr)
+                    for _, _, _, dataset, attrs, _, _ in group
+                    for attr in attrs
+                ]
+            )
+            # each row labels with its own anomaly's region masks
+            counts = [len(item[4]) for item in group]
+            abnormal, normal = (
+                np.repeat(np.stack([item[k] for item in group]), counts, axis=0)
+                for k in (5, 6)
+            )
+            mins, maxs, labels = label_rows_batch(
+                matrix, abnormal, normal, n_partitions
+            )
+            mins, maxs = mins.tolist(), maxs.tolist()
+            row = 0
+            for found, token, skey, _, attrs, _, _ in group:
+                for attr in attrs:
+                    space = NumericPartitionSpace.from_stats(
+                        attr, mins[row], maxs[row], n_partitions
+                    )
+                    found[attr] = LabeledAttribute(
+                        attr, True, space,
+                        labels[row, : space.n_partitions].copy(),
+                    )
+                    row += 1
+                fresh.append((found, token, skey, attrs))
+        n = int(n_partitions)
+        winners = self._publish_many(
+            "entries",
+            {
+                (token, skey, attr, n): found[attr]
+                for found, token, skey, attrs in fresh
+                for attr in attrs
+            },
+        )
+        for found, token, skey, attrs in fresh:
+            for attr in attrs:
+                found[attr] = winners[(token, skey, attr, n)]
+        return results
 
     def entry(
         self, dataset, spec, attr: str, n_partitions: int
@@ -486,55 +574,15 @@ class LabeledSpaceCache:
             return cached
         return self.entries(dataset, spec, [attr], n_partitions)[attr]
 
-    def _store(
-        self, token, skey, attr, n_partitions, entry: LabeledAttribute
-    ) -> LabeledAttribute:
-        key = (token, skey, attr, int(n_partitions))
-        return self._publish(
-            self._shard_of(key), "entries", token, key, entry
-        )
-
-    def peek_entry(
-        self, dataset, spec, attr: str, n_partitions: int
-    ) -> Optional[LabeledAttribute]:
-        """Lock-free lookup that counts neither a hit nor a miss.
-
-        Batch seeding (:meth:`repro.core.explain.DBSherlock._seed_batch`)
-        uses this to decide which lanes still need labeling without
-        skewing the hit/miss statistics the serial path will produce.
-        """
-        key = (id(dataset), _spec_key(spec), attr, int(n_partitions))
-        return self._shard_of(key).entries.get(key)
-
-    def peek_entries(
-        self, dataset, spec, attrs: Sequence[str], n_partitions: int
-    ) -> Dict[str, LabeledAttribute]:
-        """Bulk :meth:`peek_entry`: the subset of *attrs* already cached.
-
-        One key prefix is built for the whole call; like ``peek_entry``
-        this is lock-free and counts neither hits nor misses.
-        """
-        token = id(dataset)
-        skey = _spec_key(spec)
-        npart = int(n_partitions)
-        found: Dict[str, LabeledAttribute] = {}
-        for attr in attrs:
-            key = (token, skey, attr, npart)
-            entry = self._shard_of(key).entries.get(key)
-            if entry is not None:
-                found[attr] = entry
-        return found
-
     def peek_norm_means(
         self, dataset, spec, attrs: Sequence[str]
     ) -> Dict[str, Tuple[float, float]]:
         """Bulk lock-free lookup of cached normalized-means pairs.
 
         Returns the subset of *attrs* whose means are already published;
-        like :meth:`peek_entries` this counts neither hits nor misses.
-        The predicate generator prefetches a whole attribute list this
-        way and only falls back to :meth:`normalized_means` (one key
-        build and shard probe per call) on the residue.
+        counts neither hits nor misses.  The predicate generator
+        prefetches a whole attribute list this way and computes the
+        residue in one batch (:meth:`publish_normalized_means`).
         """
         token = id(dataset)
         skey = _spec_key(spec)
@@ -546,105 +594,23 @@ class LabeledSpaceCache:
                 found[attr] = means
         return found
 
-    def seed_entry(
-        self, dataset, spec, attr: str, n_partitions: int, entry: LabeledAttribute
-    ) -> LabeledAttribute:
-        """Pre-publish a :class:`LabeledAttribute` from a batch kernel.
+    def publish_normalized_means(self, requests: Sequence[tuple]) -> None:
+        """Publish ``(dataset, spec, {attr: (µA, µN)})`` batch results.
 
-        *entry* must be bitwise-identical to what :meth:`entries` would
-        compute for the same key.  First writer wins — the returned entry
-        is the table's, which may be an earlier concurrent publication.
-        Counts neither a hit nor a miss.
+        The predicate generator computes the missing pairs of a whole
+        batch in one :func:`~repro.perf.batch.normalized_means_batch`
+        pass per row count; each must equal what :meth:`normalized_means`
+        computes.  Counts one miss per pair; first writer wins per key.
         """
-        token = self._token(dataset)
-        return self._store(token, _spec_key(spec), attr, n_partitions, entry)
-
-    def seed_job(
-        self,
-        dataset,
-        spec,
-        n_partitions: int,
-        entries: Optional[Dict[str, LabeledAttribute]] = None,
-        norm_means: Optional[Dict[str, Tuple[float, float]]] = None,
-        masks: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> Dict[str, LabeledAttribute]:
-        """Publish one job's batch-kernel outputs in a few locked passes.
-
-        The fused :meth:`~repro.core.explain.DBSherlock.explain_batch`
-        seeds many attributes per ``(dataset, spec)``; publishing them
-        key-by-key costs two lock round-trips each.  This groups the
-        whole job by shard — one lock acquisition per touched shard plus
-        one registration pass.  First writer wins per key, exactly like
-        :meth:`seed_entry`; returns the winning labeled entries keyed by
-        attribute.  Counts neither hits nor misses.  *masks* optionally
-        seeds the job's ``(abnormal, normal)`` row masks.
-        """
-        token = self._token(dataset)
-        skey = _spec_key(spec)
-        items: List[Tuple[str, tuple, object]] = []
-        if entries:
-            for attr, entry in entries.items():
-                items.append(
-                    ("entries", (token, skey, attr, int(n_partitions)), entry)
-                )
-        if norm_means:
-            for attr, means in norm_means.items():
-                items.append(
-                    ("norm_means", (token, skey, attr), tuple(means))
-                )
-        if masks is not None:
-            items.append(("masks", (token, skey), tuple(masks)))
-        if not items:
-            return {}
-        by_shard: Dict[int, List[Tuple[str, tuple, object]]] = {}
-        for item in items:
-            by_shard.setdefault(hash(item[1]) % self._n_shards, []).append(
-                item
-            )
-        winners: Dict[str, LabeledAttribute] = {}
-        published: List[Tuple[str, tuple]] = []
-        for shard_idx, group in by_shard.items():
-            shard = self._shards[shard_idx]
-            with shard.lock:
-                for table, key, value in group:
-                    mapping = getattr(shard, table)
-                    existing = mapping.get(key)
-                    if existing is None:
-                        mapping[key] = value
-                        published.append((table, key))
-                        existing = value
-                    if table == "entries":
-                        winners[key[2]] = existing
-        if published:
-            with self._reg_lock:
-                members = self._by_dataset.get(token)
-                evicted = members is None
-                if not evicted:
-                    members.update(published)
-            if evicted:
-                # the dataset died between compute and publish: no orphans
-                for table, key in published:
-                    shard = self._shard_of(key)
-                    with shard.lock:
-                        getattr(shard, table).pop(key, None)
-        return winners
-
-    def seed_normalized_means(
-        self, dataset, spec, attr: str, means: Tuple[float, float]
-    ) -> None:
-        """Pre-publish a normalized-means pair computed by a batch kernel.
-
-        Used by :meth:`repro.core.explain.DBSherlock.explain_batch` to
-        warm the θ-gate statistics for a whole diagnosis batch in one
-        vectorized pass; *means* must equal what
-        :meth:`normalized_means` would compute.  Counts neither a hit
-        nor a miss.
-        """
-        token = self._token(dataset)
-        key = (token, _spec_key(spec), attr)
-        shard = self._shard_of(key)
-        if shard.norm_means.get(key) is None:
-            self._publish(shard, "norm_means", token, key, tuple(means))
+        items = {}
+        for dataset, spec, means in requests:
+            token = self._token(dataset)
+            skey = _spec_key(spec)
+            self._shard_of((token, skey)).misses += len(means)
+            _CACHE_MISSES.inc(len(means))
+            for attr, pair in means.items():
+                items[(token, skey, attr)] = tuple(pair)
+        self._publish_many("norm_means", items)
 
     def normalized_means(
         self, dataset, spec, attr: str
@@ -669,4 +635,4 @@ class LabeledSpaceCache:
         abnormal, normal = self.masks(dataset, spec)
         normalized = normalize_values(dataset.column(attr))
         computed = region_means(normalized, abnormal, normal)
-        return self._publish(shard, "norm_means", token, key, computed)
+        return self._publish_many("norm_means", {key: computed})[key]

@@ -241,7 +241,13 @@ def golden_generate_with_artifacts(
     config=None,
     attributes: Optional[Sequence[str]] = None,
 ) -> Dict[str, object]:
-    """Seed version of Algorithm 1 (per-attribute labeling loop)."""
+    """Seed version of Algorithm 1 (per-attribute labeling loop).
+
+    Carries the degraded-telemetry rules of the live generator: an
+    attribute with too few valid region samples is rejected before
+    filtering, the forced normal-mean partition ignores NaN cells, and
+    an undefined region mean rejects before the block check.
+    """
     abnormal_blocks = golden_abnormal_blocks
     fill_gaps = golden_fill_gaps
     filter_partitions = golden_filter_partitions
@@ -287,6 +293,18 @@ def golden_generate_with_artifacts(
         )
         artifacts[attr] = art
 
+        nan = np.isnan(values)
+        if nan.any():
+            considered = abnormal | normal
+            n_considered = int(considered.sum())
+            n_valid = int((considered & ~nan).sum())
+            if n_valid < config.min_valid_fraction * n_considered:
+                art.rejection = (
+                    f"degraded telemetry: only {n_valid}/{n_considered} "
+                    "region samples valid"
+                )
+                continue
+
         filtered = (
             filter_partitions(labels) if config.enable_filtering else labels
         )
@@ -298,7 +316,12 @@ def golden_generate_with_artifacts(
         if config.enable_fill:
             normal_mean_partition = None
             if not (filtered == int(Label.NORMAL)).any():
-                mean_normal = float(values[normal].mean())
+                normal_values = values[normal]
+                normal_values = normal_values[~np.isnan(normal_values)]
+                if not normal_values.size:
+                    art.rejection = "degraded telemetry: region mean undefined"
+                    continue
+                mean_normal = float(normal_values.mean())
                 normal_mean_partition = int(
                     space.partition_indices(np.asarray([mean_normal]))[0]
                 )
@@ -310,6 +333,9 @@ def golden_generate_with_artifacts(
         normalized = normalize_values(values)
         mu_abnormal, mu_normal = region_means(normalized, abnormal, normal)
         art.normalized_difference = abs(mu_abnormal - mu_normal)
+        if not np.isfinite(art.normalized_difference):
+            art.rejection = "degraded telemetry: region mean undefined"
+            continue
 
         blocks = abnormal_blocks(filled)
         if len(blocks) != 1:

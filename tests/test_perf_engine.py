@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from repro.core.causal import CausalModel, CausalModelStore, model_confidence
 from repro.core.generator import GeneratorConfig, PredicateGenerator
@@ -77,7 +78,9 @@ def _assert_artifacts_equal(ours, golden):
             if left is not None:
                 assert np.array_equal(left, right), (attr, name)
         # exact float equality, not approx: the batch path must be bitwise
-        assert a.normalized_difference == b.normalized_difference, attr
+        # (a NaN difference — degraded telemetry — must be NaN on both)
+        left, right = a.normalized_difference, b.normalized_difference
+        assert left == right or (left != left and right != right), attr
         assert a.predicate == b.predicate, attr
         assert a.rejection == b.rejection, attr
         if a.is_numeric:
@@ -209,6 +212,215 @@ class TestGeneratorEquivalence:
             _assert_artifacts_equal(ours, golden)
 
 
+def _property_dataset(seed, n_rows, kinds, nan_modes, abnormal):
+    """Columns of the given kinds, with NaN cells placed per *nan_modes*."""
+    rng = np.random.default_rng(seed)
+    normal = ~abnormal
+    numeric = {}
+    for j, (kind, nan_mode) in enumerate(zip(kinds, nan_modes)):
+        if kind == "constant":
+            col = np.full(n_rows, 2.5)
+        elif kind == "grid":
+            # few distinct values: interleaved labels, mixed partitions
+            col = rng.integers(0, 6, n_rows).astype(float)
+        elif kind == "step":
+            col = rng.normal(0.0, 1.0, n_rows)
+            col[abnormal] += rng.uniform(-8.0, 8.0)
+        else:  # "interleaved": abnormal on even cells, normal on odd
+            col = np.where(abnormal, 2.0 * rng.integers(0, 3, n_rows),
+                           2.0 * rng.integers(0, 2, n_rows) + 1.0)
+        if nan_mode == "sparse":
+            col[rng.random(n_rows) < 0.2] = np.nan
+        elif nan_mode == "dense":
+            col[rng.random(n_rows) < 0.9] = np.nan
+        elif nan_mode == "normal_gone":
+            col[normal] = np.nan
+        elif nan_mode == "all":
+            col[:] = np.nan
+        numeric[f"a{j}"] = col
+    return Dataset(np.arange(n_rows, dtype=float), numeric=numeric)
+
+
+def _outcome(rejection):
+    """Coarse class of a rejection reason, for hypothesis statistics."""
+    if rejection is None:
+        return "kept"
+    for prefix in (
+        "degraded telemetry: only",
+        "degraded telemetry: region mean",
+        "no abnormal",
+        "normalized difference",
+        "abnormal block spans",
+    ):
+        if rejection.startswith(prefix):
+            return prefix
+    return "block count"
+
+
+class TestBatchedGeneratorProperty:
+    """The batched Algorithm 1 pass equals the per-attribute golden path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_rows=st.integers(12, 60),
+        kinds=st.lists(
+            st.sampled_from(["constant", "grid", "step", "interleaved"]),
+            min_size=1, max_size=6,
+        ),
+        nan_modes=st.lists(
+            st.sampled_from(
+                ["none", "none", "sparse", "dense", "normal_gone", "all"]
+            ),
+            min_size=6, max_size=6,
+        ),
+        two_intervals=st.booleans(),
+        n_partitions=st.sampled_from([1, 2, 3, 5, 8, 250]),
+        delta=st.sampled_from([0.5, 1.0, 10.0]),
+        theta=st.sampled_from([0.0, 0.05, 0.2]),
+        min_valid_fraction=st.sampled_from([0.25, 0.5]),
+        enable_filtering=st.booleans(),
+        enable_fill=st.booleans(),
+    )
+    def test_artifacts_match_golden(
+        self, seed, n_rows, kinds, nan_modes, two_intervals, n_partitions,
+        delta, theta, min_valid_fraction, enable_filtering, enable_fill,
+    ):
+        third = n_rows // 3
+        bounds = (
+            [(2, third), (2 * third, n_rows - 3)]
+            if two_intervals
+            else [(third, 2 * third)]
+        )
+        spec = RegionSpec.from_bounds(bounds)
+        ts = np.arange(n_rows, dtype=float)
+        abnormal = np.zeros(n_rows, dtype=bool)
+        for lo, hi in bounds:
+            abnormal |= (ts >= lo) & (ts <= hi)
+        ds = _property_dataset(seed, n_rows, kinds, nan_modes, abnormal)
+        config = GeneratorConfig(
+            n_partitions=n_partitions, delta=delta, theta=theta,
+            min_valid_fraction=min_valid_fraction,
+            enable_filtering=enable_filtering, enable_fill=enable_fill,
+        )
+        golden = golden_generate_with_artifacts(ds, spec, config)
+        for art in golden.values():
+            event("outcome: " + _outcome(art.rejection))
+            if art.space.n_partitions == 1:
+                event("one-partition space")
+            if (
+                enable_fill
+                and art.labels_filtered is not None
+                and 2 in art.labels_filtered
+                and 1 not in art.labels_filtered
+            ):
+                event("forced normal-mean partition")
+        _assert_artifacts_equal(
+            PredicateGenerator(config).generate_with_artifacts(ds, spec),
+            golden,
+        )
+        cached = PredicateGenerator(config, cache=LabeledSpaceCache())
+        for _visit in range(2):  # cold, then served from the memos
+            _assert_artifacts_equal(
+                cached.generate_with_artifacts(ds, spec), golden
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        jobs=st.lists(
+            st.tuples(
+                st.integers(0, 2**16),
+                st.sampled_from([24, 24, 37]),
+                st.lists(
+                    st.sampled_from(
+                        ["constant", "grid", "step", "interleaved"]
+                    ),
+                    min_size=1, max_size=4,
+                ),
+                st.sampled_from(["none", "none", "sparse", "normal_gone"]),
+                st.integers(0, 2),
+            ),
+            min_size=2, max_size=5,
+        ),
+        enable_filtering=st.booleans(),
+        enable_fill=st.booleans(),
+        cached=st.booleans(),
+    )
+    def test_batch_of_jobs_matches_golden_per_job(
+        self, jobs, enable_filtering, enable_fill, cached,
+    ):
+        # one pass over several anomalies (different row counts, region
+        # shapes and NaN patterns) equals each job's golden artifacts
+        pairs = []
+        for seed, n_rows, kinds, nan_mode, shape in jobs:
+            third = n_rows // 3
+            if shape == 0:
+                spec = RegionSpec.from_bounds([(third, 2 * third)])
+            elif shape == 1:
+                spec = RegionSpec.from_bounds(
+                    [(2, third), (2 * third, n_rows - 3)]
+                )
+            else:
+                spec = RegionSpec.from_bounds(
+                    [(third, third + 5)], normal=[(0, third - 1)]
+                )
+            abnormal = spec.abnormal_mask(
+                Dataset(np.arange(n_rows, dtype=float))
+            )
+            pairs.append((
+                _property_dataset(
+                    seed, n_rows, kinds, [nan_mode] * len(kinds), abnormal
+                ),
+                spec,
+            ))
+        config = GeneratorConfig(
+            n_partitions=8, enable_filtering=enable_filtering,
+            enable_fill=enable_fill,
+        )
+        generator = PredicateGenerator(
+            config, cache=LabeledSpaceCache() if cached else None
+        )
+        got = generator.generate_with_artifacts_batch(pairs)
+        assert len(got) == len(pairs)
+        for arts, (ds, spec) in zip(got, pairs):
+            _assert_artifacts_equal(
+                arts, golden_generate_with_artifacts(ds, spec, config)
+            )
+
+    def test_filtering_can_leave_only_abnormal_partitions(self):
+        # labels A N A N A: filtering erases both Normal partitions and
+        # the middle Abnormal one, so the fill must force the partition
+        # holding the normal mean (value 2 -> partition 2) to Normal
+        abnormal = np.array([True, False, True, False, True] * 4)
+        values = np.tile([0.0, 1.0, 2.0, 3.0, 4.0], 4)
+        ts = np.arange(values.size, dtype=float)
+        ds = Dataset(ts, numeric={"x": values})
+        spec = RegionSpec.from_bounds(
+            [(t, t) for t in ts[abnormal]]
+        )
+        config = GeneratorConfig(n_partitions=5, theta=0.0)
+        ours = PredicateGenerator(config).generate_with_artifacts(ds, spec)
+        art = ours["x"]
+        assert art.labels_initial.tolist() == [2, 1, 2, 1, 2]
+        assert art.labels_filtered.tolist() == [2, 0, 0, 0, 2]
+        assert art.labels_filled.tolist() == [2, 1, 1, 1, 2]
+        _assert_artifacts_equal(
+            ours, golden_generate_with_artifacts(ds, spec, config)
+        )
+
+    def test_normal_region_without_valid_samples_is_rejected(self):
+        # the forced normal-mean partition is undefined when every normal
+        # cell is NaN; the attribute is rejected instead of raising
+        ts = np.arange(40, dtype=float)
+        abnormal = (ts >= 10) & (ts <= 29)
+        x = np.where(abnormal, ts, np.nan)
+        ds = Dataset(ts, numeric={"x": x})
+        spec = RegionSpec.from_bounds([(10, 29)])
+        art = PredicateGenerator().generate_with_artifacts(ds, spec)["x"]
+        assert art.labels_filled is None and art.predicate is None
+        assert art.rejection == "degraded telemetry: region mean undefined"
+
+
 class TestConfidenceEquivalence:
     def _model(self):
         ds = _synthetic_dataset()
@@ -330,6 +542,35 @@ class TestLabeledSpaceCache:
         cache.invalidate()
         assert cache.stats()["entries"] == 0
         assert cache.stats()["mask_entries"] == 0
+
+    def test_region_partitions_batch_equals_one_at_a_time(self):
+        from repro.perf.cache import _UNSET, build_region_partitions
+
+        ds = _synthetic_dataset()
+        attrs = ["step", "drop", "noise", "constant", "near_constant", "mode"]
+        for apply_filtering in (True, False):
+            batch = LabeledSpaceCache().entries(ds, SPEC, attrs, 250)
+            alone = LabeledSpaceCache().entries(ds, SPEC, attrs, 250)
+            build_region_partitions(list(batch.values()), apply_filtering)
+            for attr in attrs:
+                slot = (
+                    "_regions_filtered" if apply_filtering
+                    else "_regions_initial"
+                )
+                assert getattr(batch[attr], slot) is not _UNSET
+                got = batch[attr].region_partitions(apply_filtering)
+                want = alone[attr].region_partitions(apply_filtering)
+                assert (got is None) == (want is None), attr
+                if got is not None:
+                    for left, right in zip(got, want):
+                        assert np.array_equal(left, right), attr
+                    reps = alone[attr].representatives()
+                    labels = (
+                        alone[attr].filtered_labels() if apply_filtering
+                        else alone[attr].labels_initial
+                    )
+                    assert np.array_equal(got[0], reps[labels == 2]), attr
+                    assert np.array_equal(got[1], reps[labels == 1]), attr
 
     def test_garbage_collected_dataset_is_evicted(self):
         import gc
@@ -486,12 +727,12 @@ class TestVectorizedFiltering:
 # Row-batched kernels: stacked passes vs the serial seed functions
 # ----------------------------------------------------------------------
 class TestBatchKernelsBitwise:
-    """The explain_batch/fleet kernels match their serial counterparts.
+    """The generator and fleet kernels are row-independent.
 
-    Every kernel here feeds the fused diagnosis path
-    (``DBSherlock.explain_batch``) or the fleet storm path
-    (``cluster_windows_batch``); each row/lane of a batched result must be
-    bitwise-identical to the serial function on that row alone.
+    Every kernel here feeds the predicate generator's batched Algorithm 1
+    pass or the fleet storm path (``cluster_windows_batch``); each
+    row/lane of a batched result must be bitwise-identical to the same
+    computation on that row alone.
     """
 
     @staticmethod
@@ -501,7 +742,7 @@ class TestBatchKernelsBitwise:
         )
 
     def test_filter_partitions_batch_rows_match_serial(self):
-        from repro.perf.batch import filter_partitions_batch
+        from repro.core.filtering import filter_partitions_batch
 
         rng = np.random.default_rng(91)
         for n in (1, 2, 3, 7, 50, 250):
@@ -514,12 +755,13 @@ class TestBatchKernelsBitwise:
 
     def test_fill_gaps_batch_rows_match_serial(self):
         from repro.core.partition import Label
-        from repro.perf.batch import fill_gaps_batch
+        from repro.core.filtering import fill_gaps_batch
 
         rng = np.random.default_rng(92)
         for n in (2, 3, 7, 50, 250):
             rows = self._random_labels(rng, 40, n)
-            # abnormal-only rows need a normal_mean_partition: serial-only
+            # abnormal-only rows need a normal_mean_partition (see the
+            # golden property test); keep the rows that fill without one
             has_abnormal = (rows == int(Label.ABNORMAL)).any(axis=1)
             has_normal = (rows == int(Label.NORMAL)).any(axis=1)
             rows = rows[has_normal | ~has_abnormal]
@@ -532,7 +774,7 @@ class TestBatchKernelsBitwise:
 
     def test_fill_gaps_batch_rejects_abnormal_only_rows(self):
         from repro.core.partition import Label
-        from repro.perf.batch import fill_gaps_batch
+        from repro.core.filtering import fill_gaps_batch
 
         row = np.full(6, int(Label.EMPTY), dtype=np.int64)
         row[2] = int(Label.ABNORMAL)
@@ -540,7 +782,7 @@ class TestBatchKernelsBitwise:
             fill_gaps_batch(row[None, :], 1.0)
 
     def test_abnormal_blocks_batch_rows_match_serial(self):
-        from repro.perf.batch import abnormal_blocks_batch
+        from repro.core.filtering import abnormal_blocks_batch
 
         rng = np.random.default_rng(93)
         for n in (1, 2, 5, 50, 250):
@@ -677,14 +919,14 @@ class TestShardedCacheConcurrency:
         means = region_means(
             normalize_values(ds.column("step")), abnormal, normal
         )
-        seeded.seed_normalized_means(ds, SPEC, "step", means)
+        seeded.publish_normalized_means([(ds, SPEC, {"step": means})])
         hits = seeded.hits
         assert seeded.normalized_means(ds, SPEC, "step") == want
         assert seeded.hits == hits + 1  # served from the seeded entry
 
 
 # ----------------------------------------------------------------------
-# Fused explain_batch: identical Explanations, warmed from batch kernels
+# explain_batch: identical Explanations to serial explain
 # ----------------------------------------------------------------------
 class TestExplainBatchEquivalence:
     def _jobs(self, k=6):
@@ -718,8 +960,8 @@ class TestExplainBatchEquivalence:
         self._assert_explanations_equal(got, want)
 
     def test_degraded_jobs_fall_back_to_serial_inside_batch(self):
-        # a NaN-ridden dataset cannot be seeded by the NaN-free kernels;
-        # it must silently take the serial path and still match exactly
+        # a NaN-ridden dataset takes the NaN-aware per-row steps inside
+        # the batched pass and must still match serial explain exactly
         rng = np.random.default_rng(5)
         ts = np.arange(120, dtype=float)
         abnormal = (ts >= 40) & (ts <= 69)
@@ -729,6 +971,41 @@ class TestExplainBatchEquivalence:
         noisy[::9] = np.nan
         nan_ds = Dataset(ts, numeric={"step": step, "noisy": noisy})
         jobs = self._jobs(3) + [(nan_ds, SPEC)]
+        want = [
+            self._seeded_sherlock().explain(ds, spec) for ds, spec in jobs
+        ]
+        got = self._seeded_sherlock().explain_batch(jobs)
+        self._assert_explanations_equal(got, want)
+
+    def test_cached_normalized_means_bitwise_equal_to_fresh_cache(self):
+        # the θ-gate means the batched generator publishes must equal the
+        # serial single-attribute computation to the last bit
+        jobs = self._jobs()
+        sherlock = self._seeded_sherlock()
+        sherlock.explain_batch(jobs)
+        checked = 0
+        for ds, spec in jobs:
+            cached = sherlock.cache.peek_norm_means(
+                ds, spec, ds.numeric_attributes
+            )
+            for attr, pair in cached.items():
+                want = LabeledSpaceCache().normalized_means(ds, spec, attr)
+                assert pair == want, (attr, pair, want)
+                checked += 1
+        assert checked >= len(jobs) * 3
+
+    def test_mixed_batch_identical_to_serial(self):
+        # row counts, region shapes and a detector job (no spec) mixed in
+        # one batch: each result still equals its serial explain
+        short = _synthetic_dataset(seed=21, n_rows=90)
+        explicit = RegionSpec.from_bounds([(40, 69)], normal=[(0, 30)])
+        jobs = [
+            (_synthetic_dataset(seed=20), SPEC),
+            (short, RegionSpec.from_bounds([(40, 55), (60, 69)])),
+            (_synthetic_dataset(seed=22), explicit),
+            (_synthetic_dataset(seed=23), None),
+            (_synthetic_dataset(seed=24, n_rows=90), SPEC),
+        ]
         want = [
             self._seeded_sherlock().explain(ds, spec) for ds, spec in jobs
         ]
