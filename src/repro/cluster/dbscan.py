@@ -23,13 +23,19 @@ The dense path is kept (``index="dense"``) as the equivalence baseline;
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs import metrics
 
-__all__ = ["DBSCAN", "NOISE", "dbscan_labels_batch", "k_distances"]
+__all__ = [
+    "DBSCAN",
+    "NOISE",
+    "dbscan_labels_batch",
+    "dbscan_labels_stacks",
+    "k_distances",
+]
 
 _GRID_FITS = metrics.REGISTRY.counter(
     "repro_dbscan_grid_fits_total", "DBSCAN fits served by the grid index"
@@ -289,8 +295,11 @@ class DBSCAN:
 
 #: Element budget for one batched ``(block, n, n)`` distance stack —
 #: bounds peak memory the same way ``DEFAULT_CHUNK`` bounds the serial
-#: k-dist evaluation.
-_BATCH_ELEMENT_BUDGET = 4_000_000
+#: k-dist evaluation (1 MB of float64 distances, plus the partition copy
+#: and the component pass's temporaries of the same shape).  Blocks of
+#: 16 lanes at 90 rows cost ~1 % more time than blocks of 32 and halve
+#: the transient memory.
+_BATCH_ELEMENT_BUDGET = 1 << 17
 
 
 def _component_labels(
@@ -311,96 +320,138 @@ def _component_labels(
     """
     b, n, _ = within.shape
     sentinel = n
-    # int32 indices: the propagation sweeps are memory-bound on the
-    # (B, n, n) where/min temporaries, and window counts never approach
-    # 2**31 — halving the element width halves the traffic.  The final
-    # labels are still produced from an int64 rank table.
-    idx = np.arange(n, dtype=np.int32)
-    labels_like = np.where(core, idx[None, :], np.int32(sentinel))
-    adjacency = within & core[:, :, None] & core[:, None, :]
-    current = labels_like
+    # Masked minima as additions: a (B, n, n) penalty of 0 on edges and
+    # ``n`` elsewhere pushes every non-edge term to ``>= n``, above any
+    # index reached over an edge, so ``min(penalty + index)`` is the
+    # masked minimum or ``>= n`` when there is none.  The sweeps are
+    # memory-bound on that temporary; sums stay below 2n, so int16 fits
+    # any window below 16 384 rows and halves the traffic of int32.
+    dtype = np.int16 if 2 * n < np.iinfo(np.int16).max else np.int32
+    core_nb = within & core[:, None, :]
+    penalty = np.where(core_nb & core[:, :, None], dtype(0), dtype(sentinel))
+    idx = np.arange(n, dtype=dtype)
+    current = np.where(core, idx[None, :], dtype(sentinel))
     while True:
-        candidate = np.where(
-            adjacency, current[:, None, :], np.int32(sentinel)
-        ).min(axis=2)
+        candidate = (penalty + current[:, None, :]).min(axis=2)
         nxt = np.minimum(current, candidate)
         hop = np.take_along_axis(nxt, np.minimum(nxt, n - 1), axis=1)
-        nxt = np.where(nxt < sentinel, np.minimum(nxt, hop), np.int32(sentinel))
+        nxt = np.where(nxt < sentinel, np.minimum(nxt, hop), dtype(sentinel))
         if np.array_equal(nxt, current):
             break
         current = nxt
     roots = current  # min core index of the component; sentinel for non-core
     present = np.zeros((b, n + 1), dtype=bool)
-    np.put_along_axis(present, roots, True, axis=1)
+    np.put_along_axis(present, roots.astype(np.intp), True, axis=1)
     present[:, n] = False
     rank = np.cumsum(present, axis=1).astype(np.int64) - 1
     rank = np.concatenate([rank, np.full((b, 1), NOISE, dtype=np.int64)], axis=1)
     # Min component root over core neighbours (self included for cores);
-    # sentinel rows (no core neighbour at all) index the NOISE column.
-    neighbour_root = np.where(
-        within & core[:, None, :], roots[:, None, :], np.int32(sentinel)
-    ).min(axis=2)
+    # rows with no core neighbour at all (``>= n``) index the NOISE column.
+    penalty = np.where(core_nb, dtype(0), dtype(sentinel))
+    neighbour_root = (penalty + roots[:, None, :]).min(axis=2)
     lookup = np.where(neighbour_root < sentinel, neighbour_root, n + 1)
-    return np.take_along_axis(rank, lookup, axis=1)
+    return np.take_along_axis(rank, lookup.astype(np.intp), axis=1)
 
 
-def dbscan_labels_batch(
-    points: np.ndarray, min_pts: int = 3
-) -> tuple:
-    """DBSCAN over a stack of point sets in a handful of numpy passes.
+def _labels_from_distances(dist: np.ndarray, min_pts: int) -> tuple:
+    """``(labels, eps)`` for a ``(B, n, n)`` distance stack.
 
-    *points* is ``(n_sets, n_rows, n_dims)``; every set is clustered with
-    the DBSherlock ε heuristic exactly as ``DBSCAN(eps=None,
-    min_pts=min_pts).fit_predict(points[i])`` would — the k-dist
-    extraction, ε derivation, core test, component numbering, and border
-    ownership are all the same arithmetic, just evaluated across the
-    leading axis — so the returned ``(labels, eps)`` pair is
-    bitwise-identical to the serial loop (asserted by the equivalence
-    tests).  Sets are processed in blocks sized to the same element
-    budget the serial chunked path uses.
+    Everything after the distance matrix — the k-dist partition, the ε
+    heuristic, the core test and the component numbering — works on
+    ``(n, n)`` per lane, whatever width the lane's points had.
     """
-    points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
-    if points.ndim != 3:
-        raise ValueError("points must be (n_sets, n_rows, n_dims)")
+    b, n, _ = dist.shape
+    k = min(min_pts, n - 1)
+    if k == 0:
+        kd = np.zeros((b, n))
+    else:
+        # take copies the k-th column, so the partitioned stack is freed
+        kd = np.take(np.partition(dist, k, axis=2), k, axis=2)
+    eps = np.maximum(kd.max(axis=1) / 4.0, np.quantile(kd, 0.95, axis=1))
+    labels = np.zeros((b, n), dtype=np.int64)
+    active = eps > 0
+    if bool(active.any()):  # degenerate lanes keep their all-zeros labels
+        within = dist <= eps[:, None, None]
+        core = (within.sum(axis=2) >= min_pts) & active[:, None]
+        labels = _component_labels(within, core)
+        labels[~active] = 0
+    return labels, eps
+
+
+def dbscan_labels_stacks(
+    stacks: Sequence[np.ndarray], min_pts: int = 3
+) -> tuple:
+    """DBSCAN over point sets that share a row count but not a width.
+
+    *stacks* is a sequence of ``(G_j, n, d_j)`` arrays with one ``n``;
+    the result is ``(labels, eps)`` for their lanes in order, ``labels``
+    ``(sum G_j, n)``.  Each lane is clustered with the DBSherlock ε
+    heuristic exactly as ``DBSCAN(eps=None,
+    min_pts=min_pts).fit_predict(lane)`` would — the k-dist extraction,
+    ε derivation, core test, component numbering, and border ownership
+    are the same arithmetic evaluated across the leading axis — so the
+    pair is bitwise-identical to the serial loop (asserted by the
+    equivalence tests).
+
+    Only the squared norms and the Gram product depend on a lane's
+    width, so they run once per ``(stack, block)`` slice, written into
+    one preallocated ``(block, n, n)`` buffer; the rest of the distance
+    arithmetic and the labelling run once per block over lanes of every
+    width.  Blocks are sized to ``_BATCH_ELEMENT_BUDGET`` distance
+    elements.
+    """
     if min_pts < 1:
         raise ValueError("min_pts must be at least 1")
-    n_sets, n, _d = points.shape
-    labels = np.zeros((n_sets, n), dtype=np.int64)
-    eps_out = np.zeros(n_sets)
-    if n_sets == 0 or n == 0:
-        return labels, eps_out
-    _BATCH_FITS.inc(n_sets)
-    k = min(min_pts, n - 1)
-    block_size = max(1, _BATCH_ELEMENT_BUDGET // (n * n))
-    for start in range(0, n_sets, block_size):
-        stop = min(start + block_size, n_sets)
-        block = points[start:stop]
-        sq = np.sum(block * block, axis=2)
-        # NB: the serial paths spell this ``... - 2.0 * points @ points.T``,
-        # which binds as ``(2.0 * points) @ points.T`` — the doubling
-        # happens *before* the matrix product.  Reproduce that exactly,
-        # ulp for ulp.
-        d2 = sq[:, :, None] + sq[:, None, :] - np.matmul(
-            2.0 * block, block.transpose(0, 2, 1)
-        )
+    stacks = [np.asarray(s, dtype=np.float64) for s in stacks]
+    if any(s.ndim != 3 for s in stacks):
+        raise ValueError("each stack must be (n_sets, n_rows, n_dims)")
+    rows = {s.shape[1] for s in stacks}
+    if len(rows) > 1:
+        raise ValueError("stacks must share one row count")
+    n = rows.pop() if rows else 0
+    total = sum(s.shape[0] for s in stacks)
+    labels = np.zeros((total, n), dtype=np.int64)
+    eps = np.zeros(total)
+    if total == 0 or n == 0:
+        return labels, eps
+    _BATCH_FITS.inc(total)
+    block = min(total, max(1, _BATCH_ELEMENT_BUDGET // (n * n)))
+    dist = np.empty((block, n, n))
+    sq = np.empty((block, n))
+    # (stack, lane) of every lane in order, consumed a block at a time
+    lanes = [(s, g) for s in stacks for g in range(s.shape[0])]
+    for start in range(0, total, block):
+        m = min(block, total - start)
+        pos = 0
+        while pos < m:
+            stack, g = lanes[start + pos]
+            take = min(stack.shape[0] - g, m - pos)
+            pts = np.ascontiguousarray(stack[g : g + take])
+            np.sum(pts * pts, axis=2, out=sq[pos : pos + take])
+            # NB: the serial paths spell the squared distance ``sq_i +
+            # sq_j - 2.0 * points @ points.T``, which binds as ``(2.0 *
+            # points) @ points.T`` — the doubling happens *before* the
+            # matrix product.  Reproduce that exactly, ulp for ulp.
+            np.matmul(
+                2.0 * pts, pts.transpose(0, 2, 1), out=dist[pos : pos + take]
+            )
+            pos += take
+        d2, norms = dist[:m], sq[:m]
+        np.subtract(norms[:, :, None] + norms[:, None, :], d2, out=d2)
         np.maximum(d2, 0.0, out=d2)
-        dist = np.sqrt(d2)
-        if k == 0:
-            kd = np.zeros((stop - start, n))
-        else:
-            kd = np.partition(dist, k, axis=2)[:, :, k]
-        eps = np.maximum(
-            kd.max(axis=1) / 4.0, np.quantile(kd, 0.95, axis=1)
+        np.sqrt(d2, out=d2)
+        labels[start : start + m], eps[start : start + m] = (
+            _labels_from_distances(d2, min_pts)
         )
-        eps_out[start:stop] = eps
-        active = eps > 0
-        if not bool(active.any()):
-            continue  # degenerate lanes keep their all-zeros labels
-        within = dist <= eps[:, None, None]
-        counts = within.sum(axis=2)
-        core = (counts >= min_pts) & active[:, None]
-        block_labels = _component_labels(within, core)
-        block_labels[~active] = 0
-        labels[start:stop] = block_labels
-    _LAST_CLUSTERS.set(int((labels[-1].max() + 1) if n else 0))
-    return labels, eps_out
+    _LAST_CLUSTERS.set(int(labels[-1].max() + 1))
+    return labels, eps
+
+
+def dbscan_labels_batch(points: np.ndarray, min_pts: int = 3) -> tuple:
+    """DBSCAN over a ``(n_sets, n_rows, n_dims)`` stack of point sets.
+
+    :func:`dbscan_labels_stacks` with a single stack: the returned
+    ``(labels, eps)`` pair is bitwise-identical to running
+    ``DBSCAN(eps=None, min_pts=min_pts).fit_predict`` on each set.
+    """
+    return dbscan_labels_stacks([points], min_pts)

@@ -256,6 +256,14 @@ class ArenaWindow:
             self._stream, ai, start : start + self.n_rows
         ]
 
+    def matrix(self, attrs: Sequence[str]) -> np.ndarray:
+        """``(rows, len(attrs))`` copy of *attrs*' columns, one gather."""
+        index = self._arena._attr_index
+        start = self._start()
+        return self._arena._vals[
+            self._stream, [index[a] for a in attrs], start : start + self.n_rows
+        ].T
+
     def bounds(self, attr: str) -> Tuple[float, float]:
         if self.n_rows == 0:
             return 0.0, 0.0

@@ -11,6 +11,7 @@ the serial functions stream by stream.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -51,15 +52,18 @@ def cluster_windows_batch(
 ) -> List[DetectionResult]:
     """:func:`cluster_window` for many fallout streams in numpy passes.
 
-    The storm path: instead of normalizing, clustering, and smoothing
-    each stream's window in its own Python iteration, streams are
-    grouped by ``(n_rows, n_selected)`` shape (no padding — padding
-    would change the floating-point accumulation trees and break
-    bitwise equality), stacked into one ``(streams, rows, attrs)``
-    tensor per group, and pushed through batched normalization,
-    :func:`repro.cluster.dbscan.dbscan_labels_batch`, an offset-bincount
-    abnormal-cluster test, and
-    :func:`repro.core.anomaly.smooth_masks_batch`.  Cluster labels are
+    The storm path.  Each window must also offer ``matrix(attrs)``, its
+    ``(rows, len(attrs))`` values in one gather, as
+    :class:`~repro.fleet.arena.ArenaWindow` does.  Streams are grouped
+    by row count only: one normalization pass covers every selected
+    column of the group (per-column min/max is order-independent, so
+    Equation 2 stays exact), and
+    :func:`repro.cluster.dbscan.dbscan_labels_stacks` builds distances
+    per ``(rows, width)`` stack — no padding, which would change the
+    floating-point accumulation trees — then labels all of the group's
+    lanes together.  The abnormal-cluster test (an offset bincount),
+    :func:`repro.core.anomaly.smooth_masks_batch` and the run
+    extraction also run once per row count.  Cluster labels are
     partitioned per stream by construction (each lane has its own
     distance matrix and ε), so clusters never bleed across tenants.
 
@@ -69,14 +73,14 @@ def cluster_windows_batch(
     the batch kernels cannot express exactly (NaN cells, non-monotone
     timestamps, empty windows) fall back to the serial function.
     """
-    from repro.cluster.dbscan import NOISE, dbscan_labels_batch
+    from repro.cluster.dbscan import NOISE, dbscan_labels_stacks
     from repro.core.anomaly import mask_runs_batch, smooth_masks_batch
 
     count = len(windows)
     results: List[Optional[DetectionResult]] = [None] * count
     raws: List[Optional[np.ndarray]] = [None] * count
     stamps: List[Optional[np.ndarray]] = [None] * count
-    groups: Dict[Tuple[int, int], List[int]] = {}
+    by_rows: Dict[int, List[int]] = {}
     for i in range(count):
         window = windows[i]
         selected = list(selections[i])
@@ -85,31 +89,39 @@ def cluster_windows_batch(
         if n == 0 or not selected:
             results[i] = cluster_window(batch, window, selected)
             continue
-        raw = np.empty((n, len(selected)))
-        for j, attr in enumerate(selected):
-            raw[:, j] = window.column(attr)
+        raw = window.matrix(selected)
         if bool(np.isnan(raw).any()) or not bool(np.all(np.diff(ts) > 0)):
             results[i] = cluster_window(batch, window, selected)
             continue
         raws[i] = raw
         stamps[i] = ts
-        groups.setdefault((n, len(selected)), []).append(i)
+        by_rows.setdefault(n, []).append(i)
 
-    for (n, _k), members in groups.items():
-        raw3 = np.stack([raws[i] for i in members])  # (G, n, k)
-        ts2 = np.stack([stamps[i] for i in members])  # (G, n)
-        # per-lane min/max scaling: the exact (v - lo) / span expression
-        # of normalize_values; constant lanes (span <= 0) become zeros
-        mins = raw3.min(axis=1)
-        maxs = raw3.max(axis=1)
-        spans = maxs - mins
-        degenerate = spans <= 0
-        safe = np.where(degenerate, 1.0, spans)
-        norm = (raw3 - mins[:, None, :]) / safe[:, None, :]
-        if bool(degenerate.any()):
-            norm[np.broadcast_to(degenerate[:, None, :], norm.shape)] = 0.0
+    for n, members in by_rows.items():
+        # equal widths side by side, so each (n, k) stack is one slice
+        members.sort(key=lambda i: raws[i].shape[1])
+        widths = [raws[i].shape[1] for i in members]
+        norm = np.concatenate([raws[i] for i in members], axis=1)
+        for i in members:
+            raws[i] = None  # the per-lane copies are dead from here on
+        # normalize_values' exact (v - lo) / span per column, in place; a
+        # constant column has v - lo == 0.0 everywhere, so dividing it by
+        # 1.0 gives normalize_values' zeros
+        lo = norm.min(axis=0)
+        span = norm.max(axis=0) - lo
+        norm -= lo
+        norm /= np.where(span > 0, span, 1.0)
+        stacks = []
+        col = 0
+        for k, run in groupby(widths):
+            g = len(list(run))
+            stacks.append(
+                norm[:, col : col + g * k].reshape(n, g, k).transpose(1, 0, 2)
+            )
+            col += g * k
+        labels, eps = dbscan_labels_stacks(stacks, batch.min_pts)
 
-        labels, eps = dbscan_labels_batch(norm, batch.min_pts)
+        ts2 = np.stack([stamps[i] for i in members])  # (L, n)
         n_lanes = len(members)
         # cluster sizes per lane via one offset bincount (stride n + 1
         # because a lane can have at most n clusters, ids 0..n-1)

@@ -31,7 +31,12 @@ from repro.fleet import (
     SortedWindowBank,
 )
 from repro.fleet.arena import FleetArena
-from repro.fleet.fallout import close_regions
+import repro.fleet.engine as fleet_engine
+from repro.fleet.fallout import (
+    close_regions,
+    cluster_window,
+    cluster_windows_batch,
+)
 from repro.fleet.status import render_fleet_status
 from repro.obs.metrics import MetricsRegistry
 from repro.stream.detector import StreamingDetector
@@ -718,6 +723,150 @@ class TestBatchedFalloutEquivalence:
             assert batched.stream_checkpoint(s) == serial.stream_checkpoint(
                 s
             )
+
+    def test_wide_schema_mixed_widths_bitwise_equal(self, monkeypatch):
+        # 36 attributes; anomalous streams spike a different number of
+        # them, so lanes sharing a row count select different widths in
+        # the same tick (the batch groups them into one labelling pass)
+        S, attrs = 8, [f"m{j}" for j in range(36)]
+        rng = np.random.default_rng(47)
+        base = rng.uniform(10.0, 100.0, (S, len(attrs)))
+        spread = rng.uniform(0.5, 3.0, (S, len(attrs)))
+        widths = [0, 0, 3, 9, 17, 26, 36, 12]
+        rounds = []
+        for t in range(110):
+            values = base + rng.standard_normal(base.shape) * spread
+            if t >= 12 and t % 25 < 10:
+                for s, w in enumerate(widths):
+                    values[s, :w] += 14.0 * spread[s, :w]
+            rounds.append((np.full(S, t + 1.0), values, np.ones(S, bool)))
+
+        calls, attempts = [], []
+        real = fleet_engine.cluster_windows_batch
+
+        def recording(batch, windows, selections):
+            # the engine falls back to the serial loop when the fused
+            # kernel raises; count only calls that returned
+            attempts.append(None)
+            out = real(batch, windows, selections)
+            calls.append(
+                [(w.n_rows, len(sel)) for w, sel in zip(windows, selections)]
+            )
+            return out
+
+        monkeypatch.setattr(fleet_engine, "cluster_windows_batch", recording)
+        # 70-row windows: the serial DBSCAN takes its grid index path
+        batched, _ = self._lockstep(
+            rounds, S, attrs, **dict(_BUSY_KW, capacity=70, pp_threshold=0.3)
+        )
+        assert batched.recluster_counts.sum() > 0
+        assert len(calls) == len(attempts)
+        # some tick really mixed widths within one row count
+        assert any(
+            len({k for n2, k in call if n2 == n}) > 1
+            for call in calls
+            for n, _k in call
+        )
+
+
+class TestFalloutKernelProperty:
+    """Each lane of ``cluster_windows_batch`` is ``cluster_window`` alone.
+
+    Windows come from a real arena with mixed row counts (empty, at most
+    ``min_pts``, partly filled, wrapped rings, past the serial DBSCAN's
+    grid threshold) and per-lane selections of mixed widths; quantized
+    values give constant columns and duplicate rows, and optional NaN
+    and non-monotone lanes take the serial fallbacks.  A lane's result
+    must not depend on its batch-mates, so permuted subsets of the
+    batch must reproduce it too.
+    """
+
+    ATTRS = [f"m{j}" for j in range(6)]
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert a.selected_attributes == b.selected_attributes
+        assert a.mask.dtype == b.mask.dtype
+        assert np.array_equal(a.mask, b.mask)
+        assert a.regions == b.regions
+        assert np.float64(a.eps).tobytes() == np.float64(b.eps).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacity=st.sampled_from([12, 70]),
+        rows=st.lists(st.integers(0, 80), min_size=1, max_size=7),
+        levels=st.sampled_from([0, 2, 3]),
+        nan_lane=st.booleans(),
+        nonmono_lane=st.booleans(),
+        include_noise=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_lanes_match_serial_and_ignore_batch_mates(
+        self,
+        capacity,
+        rows,
+        levels,
+        nan_lane,
+        nonmono_lane,
+        include_noise,
+        seed,
+    ):
+        # 70-row windows take the serial DBSCAN's grid index path
+        rng = np.random.default_rng(seed)
+        S, A = len(rows), len(self.ATTRS)
+        arena = FleetArena(S, self.ATTRS, capacity=capacity, window=3)
+        for r in range(max(rows)):
+            times = np.full(S, r + 1.0)
+            if levels:
+                values = rng.integers(0, levels, (S, A)).astype(float)
+            else:
+                values = rng.normal(50.0, 10.0, (S, A))
+            values[:, 0] = 5.0  # a constant column in every lane
+            if nonmono_lane and r % 7 == 3:
+                times[0] = 0.5 * r  # lane 0 keeps going back in time
+            if nan_lane and r == rows[-1] - 1:
+                values[-1, 1] = np.nan  # the last lane's newest row
+            arena.append(times, values, np.asarray(rows) > r)
+        windows = [arena.view(s) for s in range(S)]
+        selections = [
+            [str(a) for a in rng.permutation(self.ATTRS)[:width]]
+            for width in rng.integers(1, A + 1, S)
+        ]
+        detector = AnomalyDetector(
+            min_pts=3,
+            cluster_fraction=0.2,
+            include_noise=include_noise,
+            min_region_s=2.0,
+            gap_fill_s=3.0,
+        )
+        expected = {}
+        for s in range(S):
+            try:
+                expected[s] = cluster_window(
+                    detector, windows[s], selections[s]
+                )
+            except ValueError:
+                pass  # time going back can end a region before its start
+        if len(expected) < S:
+            with pytest.raises(ValueError):
+                cluster_windows_batch(detector, windows, selections)
+        lanes = sorted(expected)
+        full = cluster_windows_batch(
+            detector,
+            [windows[i] for i in lanes],
+            [selections[i] for i in lanes],
+        )
+        assert len(full) == len(lanes)
+        for j, i in enumerate(lanes):
+            self._assert_same(full[j], expected[i])
+        subset = rng.permutation(len(lanes))[: rng.integers(0, len(lanes) + 1)]
+        part = cluster_windows_batch(
+            detector,
+            [windows[lanes[j]] for j in subset],
+            [selections[lanes[j]] for j in subset],
+        )
+        for k, j in enumerate(subset):
+            self._assert_same(part[k], full[j])
 
 
 # ----------------------------------------------------------------------

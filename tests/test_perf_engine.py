@@ -816,6 +816,31 @@ class TestBatchKernelsBitwise:
                 assert np.array_equal(labels[i], model.labels_), (n, d, i)
                 assert eps[i] == model.eps_, (n, d, i)
 
+    def test_dbscan_labels_stacks_mixed_widths_match_serial(self, monkeypatch):
+        import repro.cluster.dbscan as dbscan_mod
+        from repro.cluster.dbscan import DBSCAN, dbscan_labels_stacks
+
+        rng = np.random.default_rng(96)
+        n = 30
+        stacks = []
+        for g, d in ((3, 1), (5, 4), (1, 2), (4, 9)):
+            pts = rng.normal(size=(g, n, d))
+            pts[::2, : n // 3] += 6.0
+            stacks.append(pts)
+        stacks[1][2] = stacks[1][2, :1]  # degenerate lane mid-stack
+        # blocks of three lanes: stacks split across blocks and blocks
+        # mix widths
+        monkeypatch.setattr(dbscan_mod, "_BATCH_ELEMENT_BUDGET", 3 * n * n)
+        labels, eps = dbscan_labels_stacks(stacks, min_pts=3)
+        lanes = [lane for stack in stacks for lane in stack]
+        assert labels.shape == (len(lanes), n)
+        for i, lane in enumerate(lanes):
+            model = DBSCAN(eps=None, min_pts=3).fit(lane)
+            assert np.array_equal(labels[i], model.labels_), i
+            assert eps[i] == model.eps_, i
+        with pytest.raises(ValueError):
+            dbscan_labels_stacks([stacks[0], stacks[0][:, :-1]])
+
 
 # ----------------------------------------------------------------------
 # Sharded cache: concurrency, GC-pressure eviction, publication races
