@@ -10,7 +10,7 @@ actually changed.  It is the one streaming detector: the single-stream
 
 Layers, bottom up:
 
-* :mod:`repro.fleet.bank` — batched sorted-multiset order statistics;
+* :mod:`repro.fleet.bank` — batched rank-indexed window order statistics;
 * :mod:`repro.fleet.arena` — the columnar ring + Equation 4 stats;
 * :mod:`repro.fleet.fallout` — per-stream re-cluster and region close;
 * :mod:`repro.fleet.engine` — the vectorized detector pipeline;

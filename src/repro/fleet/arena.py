@@ -10,13 +10,23 @@ trailing-``w`` median, buffer min/max, window-median extrema —
 everything Equation 4 needs) costs a fixed number of dense numpy calls
 over the whole fleet:
 
-* two :class:`~repro.fleet.bank.SortedWindowBank` updates (the whole
-  buffer and the trailing ``w`` samples);
+* two rank-indexed :class:`~repro.fleet.bank.SortedWindowBank` updates
+  (the whole buffer and the trailing ``w`` samples); each bank keeps
+  its own slot-ordered copy of the lane values, so the arena hands it
+  only the incoming row — the leaving values are the banks' own oldest
+  slots;
+* order statistics read by rank: median, min and max of the overall
+  bank for :meth:`FleetArena.stats`, the trailing median when a lane's
+  trailing window completes;
 * one scatter of the freshly completed window medians into a NaN-padded
-  ``(streams, attributes, capacity − w + 1)`` FIFO ring, whose
-  ``fmin/fmax`` reduction gives the min/max over the window medians of
-  the retained rows (min/max are order-independent, so ring rotation
-  is immaterial).
+  ``(capacity − w + 1, streams × attributes)`` FIFO ring, whose
+  ``fmin/fmax`` reduction down axis 0 gives the min/max over the window
+  medians of the retained rows (min/max are order-independent, so ring
+  rotation is immaterial).
+
+Lanes are ``stream × attributes + attribute`` in every lane-indexed
+array; the banks and the median ring store them capacity-major, so each
+whole-fleet pass runs along rows as long as the fleet.
 
 :class:`ArenaWindow` adapts one stream's slice of the arena to a
 telemetry-window read interface (``timestamps`` / ``column`` /
@@ -65,8 +75,7 @@ class FleetArena:
         Ring length per stream — the detection window, in rows.
     window:
         Equation 4 sliding-window width ``w``; must not exceed
-        *capacity* (the trailing-window bookkeeping reads the sample
-        that slides out of the last ``w`` from the ring).
+        *capacity* (a window median needs ``w`` retained rows).
     """
 
     def __init__(
@@ -102,7 +111,7 @@ class FleetArena:
         self._overall = SortedWindowBank(S * A, cap)
         self._trailing = SortedWindowBank(S * A, self.window)
         self._ring_len = cap - self.window + 1
-        self._medring = np.full((S, A, self._ring_len), np.nan)
+        self._medring = np.full((self._ring_len, S * A), np.nan)
 
     # ------------------------------------------------------------------
     def append(
@@ -114,20 +123,11 @@ class FleetArena:
         float64, *active* a bool mask of streams receiving a row this
         tick.  Inactive streams are untouched.
         """
-        S, A, cap = self.n_streams, len(self.attributes), self.capacity
+        A, cap = len(self.attributes), self.capacity
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
         active = np.asarray(active, dtype=bool)
         slot = (self.appended % cap).astype(np.int64)
-
-        # Values leaving each lane, read before the slot is overwritten:
-        # the buffer row evicted from a full ring sits exactly at the
-        # write slot, and the sample sliding out of the trailing window
-        # (sequence ``appended − w``) is still retained because w ≤ cap.
-        streams = np.arange(S)
-        evicted = self._vals[streams, :, slot]
-        w_slot = ((self.appended - self.window) % cap).astype(np.int64)
-        trailing_out = self._vals[streams, :, w_slot]
 
         rows = np.nonzero(active)[0]
         wslots = slot[rows]
@@ -137,11 +137,9 @@ class FleetArena:
         self._vals[rows, :, wslots + cap] = values[rows]
 
         lane_active = np.repeat(active, A)
-        vals_flat = values.reshape(S * A)
-        self._overall.replace(vals_flat, lane_active, evicted.reshape(S * A))
-        self._trailing.replace(
-            vals_flat, lane_active, trailing_out.reshape(S * A)
-        )
+        vals_flat = values.reshape(-1)
+        self._overall.replace(vals_flat, lane_active)
+        self._trailing.replace(vals_flat, lane_active)
 
         # Lanes whose trailing window just completed publish its median
         # into the FIFO ring, keyed (mod ring length) by the row's
@@ -151,9 +149,8 @@ class FleetArena:
         if eligible.any():
             meds = self._trailing.medians()
             ring_slot = np.repeat(self.appended % self._ring_len, A)
-            flat = self._medring.reshape(S * A, self._ring_len)
             lanes = np.nonzero(eligible)[0]
-            flat[lanes, ring_slot[lanes]] = meds[lanes]
+            self._medring[ring_slot[lanes], lanes] = meds[lanes]
 
         self.appended = self.appended + active
         self.sizes = self.sizes + (active & (self.sizes < cap))
@@ -165,8 +162,8 @@ class FleetArena:
         mins = self._overall.mins().reshape(S, A)
         maxs = self._overall.maxs().reshape(S, A)
         overall = self._overall.medians().reshape(S, A)
-        med_min = np.fmin.reduce(self._medring, axis=2)
-        med_max = np.fmax.reduce(self._medring, axis=2)
+        med_min = np.fmin.reduce(self._medring, axis=0).reshape(S, A)
+        med_max = np.fmax.reduce(self._medring, axis=0).reshape(S, A)
         with np.errstate(invalid="ignore"):  # empty lanes: inf - inf
             span = maxs - mins
         # Power is zero while the buffer holds at most one full window,
@@ -271,8 +268,8 @@ class ArenaWindow:
         lane = self._stream * len(self._arena.attributes) + ai
         bank = self._arena._overall
         return (
-            float(bank._sorted[lane, 0]),
-            float(bank._sorted[lane, bank.counts[lane] - 1]),
+            bank.lane_value(lane, 0),
+            bank.lane_value(lane, int(bank.counts[lane]) - 1),
         )
 
     def to_dataset(self, name: str = "") -> Dataset:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.anomaly import AnomalyDetector, DetectionResult
+from repro.core.anomaly import AnomalyDetector, DetectionResult, impute_missing
 from repro.core.separation import normalize_values
 from repro.data.regions import Region
 
@@ -37,10 +37,11 @@ def cluster_window(
     view or a :class:`~repro.data.dataset.Dataset`); the clustering is
     ``AnomalyDetector._cluster_and_mask``, the batch detector's own code
     path, which is what makes streaming and batch outputs
-    bitwise-comparable.
+    bitwise-comparable.  NaN cells are imputed first, as
+    ``AnomalyDetector.detect`` does.
     """
-    matrix = np.column_stack(
-        [normalize_values(window.column(a)) for a in selected]
+    matrix = impute_missing(
+        np.column_stack([normalize_values(window.column(a)) for a in selected])
     )
     return batch._cluster_and_mask(matrix, window.timestamps, list(selected))
 

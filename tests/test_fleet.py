@@ -15,14 +15,18 @@ status rendering) is built on that invariant.
 from __future__ import annotations
 
 import bisect
+import json
+import warnings
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.core.anomaly import AnomalyDetector
+from repro.core.anomaly import AnomalyDetector, impute_missing
 from repro.core.explain import DBSherlock
+from repro.core.separation import normalize_values
 from repro.eval.chaos import PROFILES
 from repro.fleet import (
     FleetDetector,
@@ -40,12 +44,28 @@ from repro.fleet.fallout import (
 from repro.fleet.status import render_fleet_status
 from repro.obs.metrics import MetricsRegistry
 from repro.stream.detector import StreamingDetector
+from tests.fixtures.make_arena_digest import run_digest as run_arena_digest
 from tests.ingest_oracle import IngestOracle
 
+ARENA_DIGEST = Path(__file__).parent / "fixtures" / "arena_digest.json"
+
 
 # ----------------------------------------------------------------------
-# Sorted bank: exact order statistics under one-in/one-out
+# Rank-indexed bank: exact order statistics under one-in/one-out
 # ----------------------------------------------------------------------
+def _rank_ordered(bank):
+    """``(capacity, lanes)`` lane contents in rank order (pads last)."""
+    order = np.argsort(bank._ranks, axis=0, kind="stable")
+    return np.take_along_axis(bank._values, order, axis=0)
+
+
+def _assert_ranks_are_permutations(bank):
+    want = np.arange(bank.capacity)[:, None]
+    assert np.array_equal(
+        np.sort(bank._ranks, axis=0), np.broadcast_to(want, bank._ranks.shape)
+    )
+
+
 class TestSortedWindowBank:
     def test_matches_numpy_under_fuzz(self):
         rng = np.random.default_rng(11)
@@ -53,62 +73,98 @@ class TestSortedWindowBank:
         bank = SortedWindowBank(lanes, cap)
         buffers = [[] for _ in range(lanes)]
         for _ in range(400):
-            values = np.round(rng.normal(size=lanes) * 4.0)  # duplicates
+            # duplicates, and np.round yields -0.0 next to 0.0
+            values = np.round(rng.normal(size=lanes) * 4.0)
             active = rng.random(lanes) < 0.8
-            evicted = np.zeros(lanes)
             for lane in range(lanes):
                 if active[lane]:
                     if len(buffers[lane]) >= cap:
-                        evicted[lane] = buffers[lane].pop(0)
+                        buffers[lane].pop(0)
                     buffers[lane].append(values[lane])
-            bank.replace(values, active, evicted)
+            bank.replace(values, active)
+            assert bank.counts.tolist() == [len(b) for b in buffers]
             meds = bank.medians()
             mins = bank.mins()
             maxs = bank.maxs()
+            ordered = _rank_ordered(bank)
             for lane in range(lanes):
                 buf = np.asarray(buffers[lane])
                 if buf.size == 0:
                     assert np.isnan(meds[lane])
                     continue
+                # by value: 0.0 == -0.0
                 assert meds[lane] == np.median(buf)
                 assert mins[lane] == buf.min()
                 assert maxs[lane] == buf.max()
-                live = bank._sorted[lane, : len(buf)]
-                assert np.array_equal(live, np.sort(buf))
+                assert np.array_equal(ordered[: len(buf), lane], np.sort(buf))
+                k = int(rng.integers(0, len(buf)))
+                assert bank.lane_value(lane, k) == np.sort(buf)[k]
 
     def test_empty_and_inactive_lanes_are_noops(self):
         bank = SortedWindowBank(3, 4)
         bank.replace(
             np.array([1.0, 2.0, 3.0]),
             np.array([True, False, True]),
-            np.zeros(3),
         )
         assert bank.counts.tolist() == [1, 0, 1]
         assert np.isnan(bank.medians()[1])
         assert bank.medians()[0] == 1.0
+        assert bank.mins()[1] == np.inf
+        assert bank.maxs()[1] == np.inf
+
+    @pytest.mark.parametrize("capacity", [1, 5, 130])
+    def test_all_inactive_replace_is_byte_identical(self, capacity):
+        rng = np.random.default_rng(capacity)
+        lanes = 6
+        bank = SortedWindowBank(lanes, capacity)
+        # growing, full and never-fed lanes, with ties and signed zeros
+        for t in range(capacity + 3):
+            values = _TIE_POOL[rng.integers(0, _TIE_POOL.size, lanes)]
+            active = np.array([True, True, t < capacity // 2, False,
+                               rng.random() < 0.5, True])
+            bank.replace(values, active)
+        def state():
+            return [
+                a.tobytes()
+                for a in (bank._values, bank._ranks, bank.counts, bank._slot)
+            ]
+
+        before = state()
+        for _ in range(3):
+            bank.replace(rng.normal(size=lanes), np.zeros(lanes, bool))
+        assert state() == before
 
 
 class _ReferenceBank:
-    """Pure-Python sorted lanes: ``bisect_left`` insert, remove the
-    first equal entry (the order ``-0.0``/``0.0`` ties must land in,
-    which ``np.sort`` does not fix)."""
+    """Pure-Python sorted lanes: ``bisect_left`` insert (a new value
+    lands before the equal values already present) and removal of the
+    exact sample that leaves the FIFO, tracked by arrival number — so
+    the order of ``-0.0``/``0.0`` ties is defined, which ``np.sort``
+    does not fix."""
 
     def __init__(self, lanes, capacity):
         self.capacity = capacity
         self.sorted = [[] for _ in range(lanes)]
+        self.arrivals = [[] for _ in range(lanes)]
         self.fifo = [deque() for _ in range(lanes)]
-
-    def evicted(self):
-        return np.array([f[0] if f else 0.0 for f in self.fifo])
+        self.seq = 0
 
     def replace(self, values, active):
         for lane in np.nonzero(active)[0]:
-            lane_sorted, fifo = self.sorted[lane], self.fifo[lane]
+            lane_sorted, arrivals = self.sorted[lane], self.arrivals[lane]
+            fifo = self.fifo[lane]
             if len(fifo) == self.capacity:
-                lane_sorted.remove(fifo.popleft())
+                gone = arrivals.index(fifo.popleft()[0])
+                del lane_sorted[gone], arrivals[gone]
             value = float(values[lane])
-            bisect.insort_left(lane_sorted, value)
-            fifo.append(value)
+            at = bisect.bisect_left(lane_sorted, value)
+            lane_sorted.insert(at, value)
+            arrivals.insert(at, self.seq)
+            fifo.append((self.seq, value))
+            self.seq += 1
+
+    def window(self, lane):
+        return [value for _, value in self.fifo[lane]]
 
 
 _TIE_POOL = np.array([-0.0, 0.0, -1.5, 1.5, 2.0, -3.0, 7.25])
@@ -118,16 +174,19 @@ class TestSortedWindowBankProperties:
     @settings(max_examples=40, deadline=None)
     @given(
         lanes=st.integers(0, 40),
-        capacity=st.integers(1, 70),
+        capacity=st.one_of(st.integers(1, 70), st.integers(128, 140)),
         p_active=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
         p_idle_tick=st.sampled_from([0.0, 0.1]),
         seed=st.integers(0, 2**31 - 1),
     )
+    @example(lanes=5, capacity=1, p_active=0.9, p_idle_tick=0.1, seed=3)
+    @example(lanes=9, capacity=129, p_active=0.9, p_idle_tick=0.1, seed=4)
     def test_matches_bisect_reference_bitwise(
         self, lanes, capacity, p_active, p_idle_tick, seed
     ):
         rng = np.random.default_rng(seed)
         bank = SortedWindowBank(lanes, capacity)
+        assert bank._ranks.dtype == (np.int8 if capacity <= 127 else np.int16)
         ref = _ReferenceBank(lanes, capacity)
         # 2C + 5 ticks take every often-active lane through
         # grow -> full -> steady
@@ -136,14 +195,16 @@ class TestSortedWindowBankProperties:
             active = rng.random(lanes) < p_active
             if rng.random() < p_idle_tick:
                 active[:] = False
-            bank.replace(values, active, ref.evicted())
+            bank.replace(values, active)
             ref.replace(values, active)
             counts = [len(lane) for lane in ref.sorted]
             assert bank.counts.tolist() == counts
+            _assert_ranks_are_permutations(bank)
             meds, mins, maxs = bank.medians(), bank.mins(), bank.maxs()
+            ordered = _rank_ordered(bank)
             for lane, want in enumerate(ref.sorted):
                 n = len(want)
-                row = bank._sorted[lane]
+                row = ordered[:, lane]
                 assert np.array_equal(
                     row[:n].view(np.int64),
                     np.array(want, dtype=np.float64).view(np.int64),
@@ -152,9 +213,13 @@ class TestSortedWindowBankProperties:
                 if n == 0:
                     assert np.isnan(meds[lane])
                     continue
-                assert meds[lane] == np.median(want)
-                assert mins[lane] == min(want)
-                assert maxs[lane] == max(want)
+                # the independent definitions, by value (0.0 == -0.0)
+                window = ref.window(lane)
+                assert meds[lane] == np.median(window)
+                assert mins[lane] == min(window)
+                assert maxs[lane] == max(window)
+                assert mins[lane].tobytes() == row[0].tobytes()
+                assert maxs[lane].tobytes() == row[n - 1].tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -217,6 +282,19 @@ class TestFleetArena:
         assert v0.column("a").tolist() == [2.0, 3.0, 4.0]
         assert v0.bounds("a") == (2.0, 4.0)
         assert v0.oldest_seq == 2
+
+    def test_engine_reproduces_frozen_digest(self):
+        """Powers, selections and closed regions of a chaotic 64 × 8 run
+        with a mid-run checkpoint restore match the digest frozen from
+        the sorted-shift bank the rank-indexed bank replaced."""
+        want = json.loads(ARENA_DIGEST.read_text())
+        got = run_arena_digest()
+        diverged = [
+            t for t, (a, b) in enumerate(zip(got["ticks"], want["ticks"]))
+            if a != b
+        ]
+        assert not diverged, f"first diverging tick: {diverged[0]}"
+        assert got == want
 
 
 # ----------------------------------------------------------------------
@@ -867,6 +945,39 @@ class TestFalloutKernelProperty:
         )
         for k, j in enumerate(subset):
             self._assert_same(part[k], full[j])
+
+
+    def test_nan_lane_is_imputed_like_batch_detect(self):
+        """A lane with NaN cells clusters its imputed matrix, as
+        ``AnomalyDetector.detect`` does, without NaN reaching DBSCAN."""
+        S, rows = 3, 75  # 70+ rows take the serial DBSCAN's grid path
+        rng = np.random.default_rng(19)
+        arena = FleetArena(S, self.ATTRS, capacity=80, window=5)
+        for r in range(rows):
+            values = rng.normal(50.0, 10.0, (S, len(self.ATTRS)))
+            if 40 <= r < 55:
+                values[:, :3] += 80.0
+            if r in (10, 47):
+                values[1, 2] = np.nan
+            arena.append(np.full(S, r + 1.0), values, np.ones(S, bool))
+        windows = [arena.view(s) for s in range(S)]
+        selections = [self.ATTRS[:4]] * S
+        detector = AnomalyDetector(min_pts=3, min_region_s=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cluster_windows_batch(detector, windows, selections)
+            serial = cluster_window(detector, windows[1], selections[1])
+        matrix = impute_missing(
+            np.column_stack(
+                [normalize_values(windows[1].column(a)) for a in selections[1]]
+            )
+        )
+        want = detector._cluster_and_mask(
+            matrix, windows[1].timestamps, list(selections[1])
+        )
+        self._assert_same(got[1], want)
+        self._assert_same(serial, want)
+        assert want.regions  # the burst is found despite the NaN cells
 
 
 # ----------------------------------------------------------------------
