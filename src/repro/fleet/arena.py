@@ -1,20 +1,17 @@
 """Cross-stream columnar tick arena.
 
-All N tenants' current telemetry windows live in one contiguous
-``(streams, attributes, 2 × capacity)`` float64 ring with a double-write
-layout (every sample is written at its slot and at ``slot + capacity``),
-so any stream's window is always a zero-copy contiguous slice regardless
-of where its ring has wrapped.  Appending a fleet-wide tick and
-maintaining every lane's order statistics (overall median,
-trailing-``w`` median, buffer min/max, window-median extrema —
-everything Equation 4 needs) costs a fixed number of dense numpy calls
-over the whole fleet:
+All N tenants' current telemetry windows and the order statistics
+Equation 4 needs (overall median, trailing-``w`` median, buffer
+min/max, window-median extrema) live in a few whole-fleet arrays, and
+appending a fleet-wide tick costs a fixed number of dense numpy calls:
 
 * two rank-indexed :class:`~repro.fleet.bank.SortedWindowBank` updates
-  (the whole buffer and the trailing ``w`` samples); each bank keeps
-  its own slot-ordered copy of the lane values, so the arena hands it
-  only the incoming row — the leaving values are the banks' own oldest
-  slots;
+  (the whole buffer and the trailing ``w`` samples).  The overall
+  bank's slot-ordered values are the arena's one copy of every window:
+  row ``k`` of a stream (its ``k``-th appended row, counted across
+  restores) lives at slot ``k % capacity`` there, in the ``(streams,
+  capacity)`` timestamps and in any column a caller keeps beside them
+  (:meth:`FleetArena.slots`);
 * order statistics read by rank: median, min and max of the overall
   bank for :meth:`FleetArena.stats`, the trailing median when a lane's
   trailing window completes;
@@ -28,10 +25,11 @@ Lanes are ``stream × attributes + attribute`` in every lane-indexed
 array; the banks and the median ring store them capacity-major, so each
 whole-fleet pass runs along rows as long as the fleet.
 
-:class:`ArenaWindow` adapts one stream's slice of the arena to a
-telemetry-window read interface (``timestamps`` / ``column`` /
-``bounds`` / ``to_dataset``), which is what the clustering
-(:func:`repro.fleet.fallout.cluster_window`) and diagnosis code read.
+:class:`ArenaWindow` adapts one stream's rows to a telemetry-window
+read interface (``timestamps`` / ``column`` / ``matrix`` / ``bounds`` /
+``to_dataset``), which is what the clustering
+(:func:`repro.fleet.fallout.cluster_window`) and diagnosis code read;
+every read is an oldest-first copy gathered from the bank.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ class ArenaStats:
 
 
 class FleetArena:
-    """Columnar ring storage + order statistics for a whole fleet.
+    """Columnar window storage + order statistics for a whole fleet.
 
     Parameters
     ----------
@@ -101,10 +99,10 @@ class FleetArena:
         self._attr_index: Dict[str, int] = {
             a: j for j, a in enumerate(self.attributes)
         }
-        self._ts = np.zeros((S, 2 * cap))
-        self._vals = np.zeros((S, A, 2 * cap))
+        self._ts = np.zeros((S, cap))
         #: total rows ever appended per stream (monotone; checkpoint
-        #: restore re-bases it so replayed rows keep their sequence math).
+        #: restore re-bases it so replayed rows keep their sequence
+        #: numbers, and with them their slots).
         self.appended = np.zeros(S, dtype=np.int64)
         #: rows currently retained per stream.
         self.sizes = np.zeros(S, dtype=np.int64)
@@ -122,24 +120,30 @@ class FleetArena:
         *times* is ``(streams,)``, *values* ``(streams, attrs)`` finite
         float64, *active* a bool mask of streams receiving a row this
         tick.  Inactive streams are untouched.
+
+        Values are not checked: the window and the order statistics
+        share one store, so a non-finite value is read back as it was
+        written but misorders its lanes' ranks — their medians, bounds
+        and powers stay wrong until every value that arrived while it
+        was retained has left.  :meth:`FleetDetector.ingest
+        <repro.fleet.engine.FleetDetector.ingest>` repairs such cells
+        before they get here.
         """
-        A, cap = len(self.attributes), self.capacity
+        A = len(self.attributes)
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
         active = np.asarray(active, dtype=bool)
-        slot = (self.appended % cap).astype(np.int64)
+        slot = self.appended % self.capacity
 
         rows = np.nonzero(active)[0]
-        wslots = slot[rows]
-        self._ts[rows, wslots] = times[rows]
-        self._ts[rows, wslots + cap] = times[rows]
-        self._vals[rows, :, wslots] = values[rows]
-        self._vals[rows, :, wslots + cap] = values[rows]
+        self._ts[rows, slot[rows]] = times[rows]
 
         lane_active = np.repeat(active, A)
         vals_flat = values.reshape(-1)
-        self._overall.replace(vals_flat, lane_active)
-        self._trailing.replace(vals_flat, lane_active)
+        self._overall.replace(vals_flat, lane_active, np.repeat(slot, A))
+        self._trailing.replace(
+            vals_flat, lane_active, np.repeat(self.appended % self.window, A)
+        )
 
         # Lanes whose trailing window just completed publish its median
         # into the FIFO ring, keyed (mod ring length) by the row's
@@ -153,7 +157,7 @@ class FleetArena:
             self._medring[ring_slot[lanes], lanes] = meds[lanes]
 
         self.appended = self.appended + active
-        self.sizes = self.sizes + (active & (self.sizes < cap))
+        self.sizes = self.sizes + (active & (self.sizes < self.capacity))
 
     # ------------------------------------------------------------------
     def stats(self) -> ArenaStats:
@@ -185,18 +189,26 @@ class FleetArena:
         )
 
     # ------------------------------------------------------------------
+    def slots(self, stream: int) -> np.ndarray:
+        """Slots of *stream*'s retained rows, oldest first."""
+        end = int(self.appended[stream])
+        return np.arange(end - int(self.sizes[stream]), end) % self.capacity
+
     def view(self, stream: int) -> "ArenaWindow":
         """A telemetry-window read view of one stream."""
         return ArenaWindow(self, int(stream))
 
 
 class ArenaWindow:
-    """Read adapter: one stream's arena slice as a telemetry window.
+    """Read adapter: one stream's arena rows as a telemetry window.
 
     Implements a telemetry window's read surface (``n_rows``,
-    ``timestamps``, ``column``, ``bounds``, ``to_dataset``, attribute
-    lists) over zero-copy arena views, so the clustering and diagnosis
-    code paths read it like a :class:`~repro.data.dataset.Dataset`.
+    ``timestamps``, ``column``, ``matrix``, ``bounds``, ``to_dataset``,
+    attribute lists), so the clustering and diagnosis code paths read it
+    like a :class:`~repro.data.dataset.Dataset`.  The view is live —
+    each read reflects the rows retained at that moment — and every
+    array it returns is a fresh oldest-first copy gathered from the
+    arena's timestamps and overall bank.
     """
 
     __slots__ = ("_arena", "_stream")
@@ -234,32 +246,20 @@ class ArenaWindow:
     def categorical_attributes(self) -> List[str]:
         return []
 
-    def _start(self) -> int:
-        arena = self._arena
-        return int(
-            (arena.appended[self._stream] - arena.sizes[self._stream])
-            % arena.capacity
-        )
-
     @property
     def timestamps(self) -> np.ndarray:
-        start = self._start()
-        return self._arena._ts[self._stream, start : start + self.n_rows]
+        arena = self._arena
+        return arena._ts[self._stream].take(arena.slots(self._stream))
 
     def column(self, attr: str) -> np.ndarray:
-        ai = self._arena._attr_index[attr]
-        start = self._start()
-        return self._arena._vals[
-            self._stream, ai, start : start + self.n_rows
-        ]
+        return self.matrix([attr])[:, 0]
 
     def matrix(self, attrs: Sequence[str]) -> np.ndarray:
-        """``(rows, len(attrs))`` copy of *attrs*' columns, one gather."""
-        index = self._arena._attr_index
-        start = self._start()
-        return self._arena._vals[
-            self._stream, [index[a] for a in attrs], start : start + self.n_rows
-        ].T
+        """``(rows, len(attrs))`` C-ordered copy of *attrs*' columns."""
+        arena = self._arena
+        base = self._stream * len(arena.attributes)
+        lanes = [base + arena._attr_index[a] for a in attrs]
+        return arena._overall.read(arena.slots(self._stream), lanes)
 
     def bounds(self, attr: str) -> Tuple[float, float]:
         if self.n_rows == 0:
@@ -273,13 +273,12 @@ class ArenaWindow:
         )
 
     def to_dataset(self, name: str = "") -> Dataset:
+        attrs = self._arena.attributes
         return Dataset(
-            self.timestamps.copy(),
-            numeric={
-                a: self.column(a).copy() for a in self._arena.attributes
-            },
+            self.timestamps,
+            numeric=dict(zip(attrs, self.matrix(attrs).T.copy())),
             categorical={
-                a: self.column(a).copy() for a in self.categorical_attributes
+                a: self.column(a) for a in self.categorical_attributes
             },
             name=name,
         )

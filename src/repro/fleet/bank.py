@@ -9,9 +9,9 @@ FIFO ring **in slot order** plus the **rank** of each slot within its
 lane, and performs the one-in/one-out update for all lanes with a fixed
 number of whole-bank numpy passes:
 
-1. the incoming value overwrites the lane's oldest slot
-   (``appended % capacity``; unfilled slots hold ``+inf`` pads whose
-   ranks sit above every live value), whose rank ``r_out`` is read
+1. the incoming value overwrites the slot the caller names — the
+   lane's oldest once it is full, a ``+inf`` pad before that (pads'
+   ranks sit above every live value) — whose rank ``r_out`` is read
    first;
 2. one float comparison count along the lane finds the insert rank
    ``i`` — how many stored values are strictly below the incoming one;
@@ -61,7 +61,6 @@ class SortedWindowBank:
         "counts",
         "_values",
         "_ranks",
-        "_slot",
         "_lane_ids",
         "_slot_ids",
         "_mask",
@@ -82,8 +81,6 @@ class SortedWindowBank:
         # Pads rank above every live value: slot j starts at rank j.
         self._slot_ids = np.arange(cap, dtype=rank_dtype)[:, None]
         self._ranks = np.repeat(self._slot_ids, lanes, axis=1)
-        #: per-lane write slot, ``appended % capacity``.
-        self._slot = np.zeros(lanes, dtype=np.intp)
         self._lane_ids = np.arange(lanes)
         self._mask = np.empty((cap, lanes), dtype=bool)
         self._scratch = np.empty((cap, lanes), dtype=rank_dtype)
@@ -92,7 +89,9 @@ class SortedWindowBank:
     def lanes(self) -> int:
         return self._values.shape[1]
 
-    def replace(self, values: np.ndarray, active: np.ndarray) -> None:
+    def replace(
+        self, values: np.ndarray, active: np.ndarray, slot: np.ndarray
+    ) -> None:
         """One-in/one-out update for every active lane.
 
         Parameters
@@ -103,9 +102,13 @@ class SortedWindowBank:
         active:
             ``(lanes,)`` bool — lanes receiving a sample this tick;
             inactive lanes are untouched.
+        slot:
+            ``(lanes,)`` write slots, ``seq % capacity`` for a sample
+            with sequence number ``seq`` (any start, one step per
+            sample), so a full lane overwrites its oldest slot.
         """
         vals, ranks, mask = self._values, self._ranks, self._mask
-        slot, lanes = self._slot, self._lane_ids
+        lanes = self._lane_ids
         values = np.asarray(values, dtype=np.float64)
         active = np.asarray(active, dtype=bool)
         r_out = ranks[slot, lanes]
@@ -120,8 +123,6 @@ class SortedWindowBank:
         np.add(ranks, mask.view(np.int8), out=ranks)
         ranks[slot, lanes] = i
         self.counts += active & (self.counts < self.capacity)
-        slot += active
-        slot[slot == self.capacity] = 0
 
     # ------------------------------------------------------------------
     def values_at(self, rank: np.ndarray | int) -> np.ndarray:
@@ -132,6 +133,11 @@ class SortedWindowBank:
         np.multiply(mask.view(np.int8), self._slot_ids, out=scratch)
         slots = np.add.reduce(scratch, axis=0, dtype=scratch.dtype)
         return self._values[slots, self._lane_ids]
+
+    def read(self, slots: np.ndarray, lanes) -> np.ndarray:
+        """``(len(slots), len(lanes))`` C-ordered copy of *lanes* at
+        *slots* (column take, then row take)."""
+        return self._values.take(lanes, axis=1).take(slots, axis=0)
 
     def lane_value(self, lane: int, rank: int) -> float:
         """One lane's value at *rank*."""

@@ -440,7 +440,7 @@ class FleetDetector:
                     )
                     closed_lists, emitted_out = close_regions_batch(
                         [res.regions for res in batch_results],
-                        [view.timestamps for view in views],
+                        views,
                         self.batch.gap_fill_s,
                         [self._emitted[s] for s in streams],
                     )
@@ -740,7 +740,6 @@ class FleetDetector:
         arena = self.arena
         ai_of = arena._attr_index
         appended = int(arena.appended[s])
-        size = int(arena.sizes[s])
         exact_rule = (
             self.quarantine_after is not None
             and self.quarantine_rel_epsilon is None
@@ -764,15 +763,15 @@ class FleetDetector:
             ts = view.timestamps
             emitted = {e for e in emitted if e >= float(ts[0])}
             self._emitted[s] = emitted
+            columns = view.matrix(arena.attributes).T
             window_dump = {
                 "appended": appended,
                 "numeric_attrs": list(arena.attributes),
                 "categorical_attrs": [],
                 "tracked": list(self._tracked),
-                "timestamps": [float(t) for t in ts],
+                "timestamps": ts.tolist(),
                 "numeric": {
-                    a: [float(v) for v in view.column(a)]
-                    for a in arena.attributes
+                    a: col.tolist() for a, col in zip(arena.attributes, columns)
                 },
                 "categorical": {},
             }
@@ -806,36 +805,38 @@ class FleetDetector:
     @classmethod
     def from_checkpoints(
         cls,
-        states: Sequence[Mapping[str, object]],
+        states: Sequence[Optional[Mapping[str, object]]],
         attributes: Optional[Sequence[str]] = None,
     ) -> "FleetDetector":
         """Rebuild a fleet from per-stream checkpoint dicts.
 
         Every state must share one parameter set (one fleet, one
-        config).  Windows are replayed row-position-aligned through the
-        vectorized arena — each lane's order statistics depend only on
-        its own retained rows, so the restored fleet is bitwise
-        equivalent to the uninterrupted one.
+        config); a ``None`` state restarts its lane empty.  Windows are
+        replayed row-position-aligned through the vectorized arena —
+        each lane's order statistics depend only on its own retained
+        rows, so the restored fleet is bitwise equivalent to the
+        uninterrupted one.
         """
-        if not states:
+        given = [st for st in states if st is not None]
+        if not given:
             raise ValueError("from_checkpoints needs at least one state")
-        for st in states:
+        for st in given:
             if st.get("version") != cls.CHECKPOINT_VERSION:
                 raise ValueError(
                     f"unsupported checkpoint version {st.get('version')!r}"
                 )
-        params = dict(states[0]["params"])  # type: ignore[arg-type]
-        for st in states[1:]:
+        params = dict(given[0]["params"])  # type: ignore[arg-type]
+        for st in given[1:]:
             if dict(st["params"]) != params:  # type: ignore[arg-type]
                 raise ValueError(
                     "fleet checkpoints must share one parameter set"
                 )
-        for st in states:
+        for st in given:
             check_exact_checkpoint(st)
+        windows = [None if st is None else st.get("window") for st in states]
         attrs = list(attributes) if attributes is not None else None
         if attrs is None:
-            for st in states:
-                win = st.get("window")
+            for win in windows:
                 if win is not None:
                     attrs = list(win["numeric_attrs"])  # type: ignore[index]
                     break
@@ -858,28 +859,31 @@ class FleetDetector:
             quarantine_after=params.get("quarantine_after"),
             quarantine_rel_epsilon=params.get("quarantine_rel_epsilon"),
         )
-        S, A = det.n_streams, len(det.arena.attributes)
+        # each lane's retained rows as one (rows, attrs) block, replayed
+        # at their original sequence numbers (and so at their slots)
+        S, A = det.n_streams, len(attrs)
         ai_of = det.arena._attr_index
-        n_rows = np.zeros(S, dtype=np.int64)
-        base = np.zeros(S, dtype=np.int64)
+        n_rows = np.array(
+            [0 if w is None else len(w["timestamps"]) for w in windows],  # type: ignore[index]
+            dtype=np.int64,
+        )
+        times = np.zeros((int(n_rows.max()), S))
+        vals = np.zeros((times.shape[0], S, A))
+        for s, win in enumerate(windows):
+            if win is None:
+                continue
+            n = int(n_rows[s])
+            det.arena.appended[s] = int(win["appended"]) - n  # type: ignore[index]
+            times[:n, s] = win["timestamps"]  # type: ignore[index]
+            numeric = win["numeric"]  # type: ignore[index]
+            vals[:n, s] = np.array(
+                [numeric[a] for a in attrs], dtype=np.float64
+            ).reshape(A, n).T
+        for r in range(times.shape[0]):
+            det.arena.append(times[r], vals[r], n_rows > r)
         for s, st in enumerate(states):
-            win = st.get("window")
-            if win is not None:
-                n_rows[s] = len(win["timestamps"])  # type: ignore[index]
-                base[s] = int(win["appended"]) - n_rows[s]  # type: ignore[index]
-        det.arena.appended[:] = base
-        max_rows = int(n_rows.max()) if S else 0
-        for r in range(max_rows):
-            active = n_rows > r
-            times = np.zeros(S)
-            vals = np.zeros((S, A))
-            for s in np.nonzero(active)[0]:
-                win = states[s]["window"]  # type: ignore[index]
-                times[s] = float(win["timestamps"][r])
-                for a in det.arena.attributes:
-                    vals[s, ai_of[a]] = float(win["numeric"][a][r])
-            det.arena.append(times, vals, active)
-        for s, st in enumerate(states):
+            if st is None:
+                continue
             det.tick_counts[s] = int(st["tick_count"])
             det.recluster_counts[s] = int(st["recluster_count"])
             det.dropped_counts[s] = int(st["dropped_ticks"])

@@ -190,7 +190,7 @@ def close_regions(
 
 def close_regions_batch(
     region_lists: Sequence[Sequence[Region]],
-    timestamp_arrays: Sequence[np.ndarray],
+    windows: Sequence[object],
     gap_fill_s: float,
     emitted_sets: Sequence[Set[float]],
 ) -> Tuple[List[List[Region]], List[Set[float]]]:
@@ -199,20 +199,19 @@ def close_regions_batch(
     Streams with neither candidate regions nor retained dedup keys are
     recognized up front (in a storm most fallout streams close nothing
     on most ticks) — for them the serial function would only rebuild an
-    empty set, so the short-circuit returns identical state.  The rest
-    run through :func:`close_regions` unchanged.
+    empty set, so the short-circuit returns identical state without
+    reading the window.  The rest read their window's ``timestamps``
+    and run through :func:`close_regions` unchanged.
     """
     closed_lists: List[List[Region]] = []
     emitted_out: List[Set[float]] = []
-    for regions, timestamps, emitted in zip(
-        region_lists, timestamp_arrays, emitted_sets
-    ):
+    for regions, window, emitted in zip(region_lists, windows, emitted_sets):
         if not regions and not emitted:
             closed_lists.append([])
             emitted_out.append(emitted)
             continue
         closed, emitted = close_regions(
-            regions, timestamps, gap_fill_s, emitted
+            regions, window.timestamps, gap_fill_s, emitted
         )
         closed_lists.append(closed)
         emitted_out.append(emitted)

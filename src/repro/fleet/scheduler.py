@@ -275,35 +275,6 @@ class _Sequencer:
             self._cond.notify_all()
 
 
-def _fresh_lane_state(params: Dict[str, object]) -> Dict[str, object]:
-    """An empty-lane checkpoint for a tenant skipped during recovery.
-
-    Shares the fleet's parameter set (``from_checkpoints`` requires
-    one config per fleet) but carries no window, counters, or emitted
-    regions — the tenant restarts from scratch.
-    """
-    import copy as _copy
-
-    return {
-        "version": FleetDetector.CHECKPOINT_VERSION,
-        "params": _copy.deepcopy(params),
-        "tick_count": 0,
-        "recluster_count": 0,
-        "dropped_ticks": 0,
-        "sanitized_values": 0,
-        "quarantined": [],
-        "stuck_runs": {},
-        "recent_values": {},
-        "prev_value": {},
-        "last_seen": {},
-        "last_cat": {},
-        "last_time": None,
-        "emitted_ends": [],
-        "window": None,
-        "cluster_state": None,
-    }
-
-
 class FleetScheduler:
     """Drive a :class:`FleetDetector` with bounded diagnosis fallout.
 
@@ -1501,16 +1472,10 @@ class FleetScheduler:
             raise FileNotFoundError(
                 f"no recoverable durable tenants under {root}"
             )
-        # skipped tenants restart with a fresh empty lane sharing the
-        # fleet's parameter set, so the tenant list (and stream order)
-        # survives a partial recovery
-        params = states[recovered[0]]["params"]
-        state_list = [
-            states.get(name) or _fresh_lane_state(params)
-            for name in tenants
-        ]
+        # skipped tenants restart on a fresh empty lane, so the tenant
+        # list (and stream order) survives a partial recovery
         detector = FleetDetector.from_checkpoints(
-            state_list, attributes=attributes
+            [states.get(name) for name in tenants], attributes=attributes
         )
         scheduler = cls(
             detector,

@@ -64,9 +64,11 @@ class StreamTick:
 class StreamWindow(ArenaWindow):
     """The detector's telemetry window: its arena lane plus categoricals.
 
-    Zero-copy ``timestamps`` / ``column`` views oldest first, numeric
-    ``bounds``, and ``to_dataset`` snapshots.  Categorical columns use
-    the arena's double-write layout, so their views are contiguous too.
+    ``timestamps`` / ``column`` copies oldest first, numeric ``bounds``,
+    and ``to_dataset`` snapshots.  Categorical columns are
+    ``capacity``-slot object buffers under the arena's slot rule (row
+    ``k`` at slot ``k % capacity``), read through the same
+    :meth:`~repro.fleet.arena.FleetArena.slots`.
     """
 
     __slots__ = ("_categorical",)
@@ -87,8 +89,7 @@ class StreamWindow(ArenaWindow):
         buf = self._categorical.get(attr)
         if buf is None:
             return super().column(attr)
-        start = self._start()
-        return buf[start : start + self.n_rows]
+        return buf.take(self._arena.slots(self._stream))
 
 
 class StreamingDetector:
@@ -208,7 +209,7 @@ class StreamingDetector:
         self._fleet = FleetDetector(1, numeric, **self._fleet_kw)
         self._fleet.tick_counts[:] = ticks
         self._categorical = {
-            a: np.empty(2 * self.capacity, dtype=object) for a in categorical
+            a: np.empty(self.capacity, dtype=object) for a in categorical
         }
 
     # ------------------------------------------------------------------
@@ -247,7 +248,7 @@ class StreamingDetector:
         return np.array([float(time)]), np.array(values, dtype=np.float64)
 
     def _append_categorical(self, row: Mapping[str, str]) -> None:
-        slot = (int(self._fleet.arena.appended[0]) - 1) % self.capacity
+        slot = self._fleet.arena.slots(0)[-1]  # the row just appended
         missing = 0
         for attr, buf in self._categorical.items():
             if attr in row:
@@ -255,7 +256,7 @@ class StreamingDetector:
             else:
                 value = self._last_cat.get(attr, "")
                 missing += 1
-            buf[slot] = buf[slot + self.capacity] = value
+            buf[slot] = value
         if missing:
             self._fleet.count_sanitized(0, missing)
 
@@ -338,15 +339,11 @@ class StreamingDetector:
             a: str(v) for a, v in dict(state["last_cat"]).items()
         }
         if win is not None:
-            cap = detector.capacity
-            rows = len(win["timestamps"])
-            start = (int(win["appended"]) - rows) % cap
+            slots = detector._fleet.arena.slots(0)
             detector._categorical = {}
             for attr in win["categorical_attrs"]:
-                buf = np.empty(2 * cap, dtype=object)
-                for i, value in enumerate(win["categorical"][attr]):
-                    slot = (start + i) % cap
-                    buf[slot] = buf[slot + cap] = value
+                buf = np.empty(detector.capacity, dtype=object)
+                buf[slots] = np.array(win["categorical"][attr], dtype=object)
                 detector._categorical[attr] = buf
         return detector
 

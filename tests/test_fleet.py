@@ -71,6 +71,7 @@ class TestSortedWindowBank:
         rng = np.random.default_rng(11)
         lanes, cap = 7, 9
         bank = SortedWindowBank(lanes, cap)
+        appended = np.zeros(lanes, dtype=np.int64)
         buffers = [[] for _ in range(lanes)]
         for _ in range(400):
             # duplicates, and np.round yields -0.0 next to 0.0
@@ -81,7 +82,8 @@ class TestSortedWindowBank:
                     if len(buffers[lane]) >= cap:
                         buffers[lane].pop(0)
                     buffers[lane].append(values[lane])
-            bank.replace(values, active)
+            bank.replace(values, active, appended % cap)
+            appended += active
             assert bank.counts.tolist() == [len(b) for b in buffers]
             meds = bank.medians()
             mins = bank.mins()
@@ -105,6 +107,7 @@ class TestSortedWindowBank:
         bank.replace(
             np.array([1.0, 2.0, 3.0]),
             np.array([True, False, True]),
+            np.zeros(3, dtype=np.intp),
         )
         assert bank.counts.tolist() == [1, 0, 1]
         assert np.isnan(bank.medians()[1])
@@ -117,21 +120,27 @@ class TestSortedWindowBank:
         rng = np.random.default_rng(capacity)
         lanes = 6
         bank = SortedWindowBank(lanes, capacity)
+        appended = np.zeros(lanes, dtype=np.int64)
         # growing, full and never-fed lanes, with ties and signed zeros
         for t in range(capacity + 3):
             values = _TIE_POOL[rng.integers(0, _TIE_POOL.size, lanes)]
             active = np.array([True, True, t < capacity // 2, False,
                                rng.random() < 0.5, True])
-            bank.replace(values, active)
+            bank.replace(values, active, appended % capacity)
+            appended += active
         def state():
             return [
-                a.tobytes()
-                for a in (bank._values, bank._ranks, bank.counts, bank._slot)
+                a.tobytes() for a in (bank._values, bank._ranks, bank.counts)
             ]
 
         before = state()
         for _ in range(3):
-            bank.replace(rng.normal(size=lanes), np.zeros(lanes, bool))
+            # an inactive lane ignores its slot as well as its value
+            bank.replace(
+                rng.normal(size=lanes),
+                np.zeros(lanes, bool),
+                rng.integers(0, capacity, lanes),
+            )
         assert state() == before
 
 
@@ -188,6 +197,8 @@ class TestSortedWindowBankProperties:
         bank = SortedWindowBank(lanes, capacity)
         assert bank._ranks.dtype == (np.int8 if capacity <= 127 else np.int16)
         ref = _ReferenceBank(lanes, capacity)
+        # any sequence start: a restored lane resumes mid-ring
+        appended = rng.integers(0, 3 * capacity, lanes)
         # 2C + 5 ticks take every often-active lane through
         # grow -> full -> steady
         for _ in range(2 * capacity + 5):
@@ -195,7 +206,8 @@ class TestSortedWindowBankProperties:
             active = rng.random(lanes) < p_active
             if rng.random() < p_idle_tick:
                 active[:] = False
-            bank.replace(values, active)
+            bank.replace(values, active, appended % capacity)
+            appended += active
             ref.replace(values, active)
             counts = [len(lane) for lane in ref.sorted]
             assert bank.counts.tolist() == counts
@@ -295,6 +307,119 @@ class TestFleetArena:
         ]
         assert not diverged, f"first diverging tick: {diverged[0]}"
         assert got == want
+
+    # -- window reads against a deque-of-rows reference ----------------
+    @staticmethod
+    def _assert_window(arena, s, rows):
+        """Stream *s*'s reads equal the retained *rows* byte for byte,
+        and row ``k`` sits at slot ``k % capacity`` of the one store."""
+        A, cap = len(arena.attributes), arena.capacity
+        stamps = np.array([t for t, _ in rows], dtype=np.float64)
+        want = np.array([v for _, v in rows], dtype=np.float64).reshape(-1, A)
+        view = arena.view(s)
+        assert view.n_rows == len(rows)
+        assert view.timestamps.tobytes() == stamps.tobytes()
+        order = list(range(A))[::-1]
+        picked = [arena.attributes[j] for j in order]
+        got = view.matrix(picked)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want[:, order].tobytes()
+        ds = view.to_dataset()
+        assert ds.timestamps.tobytes() == stamps.tobytes()
+        for j, a in enumerate(arena.attributes):
+            col = np.ascontiguousarray(want[:, j])
+            assert view.column(a).tobytes() == col.tobytes()
+            assert ds.column(a).tobytes() == col.tobytes()
+        values = arena._overall._values
+        for k, (t, row) in enumerate(rows, start=view.oldest_seq):
+            assert arena._ts[s, k % cap].tobytes() == np.float64(t).tobytes()
+            assert (
+                values[k % cap, s * A : (s + 1) * A].tobytes() == row.tobytes()
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        capacity=st.one_of(st.integers(2, 20), st.integers(125, 130)),
+        n_streams=st.integers(1, 4),
+        n_attrs=st.integers(1, 3),
+        p_active=st.sampled_from([0.3, 0.8, 1.0]),
+        restore_at=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(
+        capacity=12, n_streams=4, n_attrs=2, p_active=0.8,
+        restore_at=0.6, seed=1,
+    )
+    @example(
+        capacity=129, n_streams=2, n_attrs=1, p_active=0.8,
+        restore_at=0.7, seed=2,
+    )
+    def test_windows_match_row_reference_across_restore(
+        self, capacity, n_streams, n_attrs, p_active, restore_at, seed
+    ):
+        rng = np.random.default_rng(seed)
+        S, A = n_streams, n_attrs
+        attrs = [f"x{j}" for j in range(A)]
+        fleet = FleetDetector(S, attrs, capacity=capacity, window=2)
+        ref = [deque(maxlen=capacity) for _ in range(S)]
+        ticks = 2 * capacity + 5
+        for t in range(ticks):
+            if t == int(restore_at * ticks):
+                states = [
+                    json.loads(json.dumps(fleet.stream_checkpoint(s)))
+                    for s in range(S)
+                ]
+                for s in range(1, S):
+                    if rng.random() < 0.25:  # this lane restarts empty
+                        states[s] = None
+                        ref[s].clear()
+                fleet = FleetDetector.from_checkpoints(states, attributes=attrs)
+                for s in range(S):
+                    self._assert_window(fleet.arena, s, ref[s])
+            values = _TIE_POOL[rng.integers(0, _TIE_POOL.size, (S, A))]
+            active = rng.random(S) < p_active
+            times = t + rng.random(S)
+            fleet.ingest(times, values, active)
+            for s in np.nonzero(active)[0]:
+                ref[s].append((times[s], values[s].copy()))
+            for s in range(S):
+                self._assert_window(fleet.arena, s, ref[s])
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        capacity=st.one_of(st.integers(2, 20), st.integers(125, 130)),
+        restore_at=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(capacity=7, restore_at=0.6, seed=3)
+    def test_stream_window_categoricals_match_row_reference(
+        self, capacity, restore_at, seed
+    ):
+        rng = np.random.default_rng(seed)
+        detector = StreamingDetector(capacity=capacity, window=2)
+        ref = deque(maxlen=capacity)
+        ticks = 2 * capacity + 5
+        for t in range(ticks):
+            if t == int(restore_at * ticks) and detector.window is not None:
+                detector = StreamingDetector.from_checkpoint(
+                    json.loads(json.dumps(detector.checkpoint()))
+                )
+            value = float(_TIE_POOL[rng.integers(0, _TIE_POOL.size)])
+            label = f"c{rng.integers(0, 3)}"
+            detector.observe(float(t), {"a": value}, {"c": label})
+            ref.append((float(t), value, label))
+            window = detector.window
+            labels = [label for _, _, label in ref]
+            assert list(window.column("c")) == labels
+            ds = window.to_dataset()
+            assert list(ds.column("c")) == labels
+            assert ds.column("a").tobytes() == np.array(
+                [v for _, v, _ in ref]
+            ).tobytes()
+            buf = detector._categorical["c"]
+            assert buf.shape == (capacity,)
+            for k, want in enumerate(labels, start=window.oldest_seq):
+                assert buf[k % capacity] == want
 
 
 # ----------------------------------------------------------------------
@@ -503,7 +628,8 @@ class TestFleetEquivalence:
         refs = _references(S, attrs)
         _run_equivalence(rounds(), fleet, refs, attrs)
         assert fleet.sanitized_counts.sum() == 16
-        assert np.isfinite(fleet.arena._vals).all()
+        for s in range(S):
+            assert np.isfinite(fleet.arena.view(s).matrix(attrs)).all()
 
     def test_checkpoint_restore_is_bitwise(self):
         S, attrs = 3, ["a", "b"]

@@ -528,9 +528,12 @@ class TestPartialRecovery:
             s = self.TENANTS.index(name)
             assert recovered.detector.stream_checkpoint(s) == states[name]
         # skipped tenants come back quarantined on a fresh empty lane
+        fresh = FleetDetector(1, ATTRS, **DET_KW).stream_checkpoint(0)
         for name in ("beta", "gamma"):
             assert recovered.health.state(name) == "quarantined"
             assert "recovery" in recovered.health.reason(name)
+            s = self.TENANTS.index(name)
+            assert recovered.detector.stream_checkpoint(s) == fresh
         # and the partially recovered fleet still ticks all lanes
         src = FleetSimSource(len(self.TENANTS), ATTRS, seed=555)
         for times, values, active in src.take(5):

@@ -63,14 +63,20 @@ class TestRingBufferWindow:
         assert window.oldest_seq == 7
         assert window.appended == 11
 
-    def test_views_are_zero_copy(self):
+    def test_views_are_copies_of_the_one_store(self):
         detector = StreamingDetector(capacity=4)
         for i in range(6):
             detector.observe(float(i), {"a": float(i)})
         window = detector.window
         arena = detector._fleet.arena
-        assert window.column("a").base is arena._vals
-        assert window.timestamps.base is arena._ts
+        # row k at slot k % capacity: rows 2..5 sit at slots 2, 3, 0, 1
+        assert arena._overall._values[:, 0].tolist() == [4.0, 5.0, 2.0, 3.0]
+        assert arena._ts[0].tolist() == [4.0, 5.0, 2.0, 3.0]
+        column, stamps = window.column("a"), window.timestamps
+        column[:] = -1.0
+        stamps[:] = -1.0
+        assert window.column("a").tolist() == [2.0, 3.0, 4.0, 5.0]
+        assert window.timestamps.tolist() == [2.0, 3.0, 4.0, 5.0]
 
     def test_bounds_track_retained_rows(self):
         rng = np.random.default_rng(11)
