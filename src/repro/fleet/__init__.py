@@ -18,8 +18,10 @@ Layers, bottom up:
   backpressure/shed policies, deadline tiers with degraded fallbacks,
   retry with backoff, per-tenant durability and metrics;
 * :mod:`repro.fleet.health` — the tenant health model (healthy /
-  degraded / quarantined / ejected), per-tenant circuit breakers, the
-  durable health journal, and partial-recovery reports;
+  degraded / quarantined / ejected), per-tenant circuit breakers and
+  the durable health journal;
+* :mod:`repro.fleet.recovery` — the checkpoint envelope, per-tenant
+  loading, lockstep WAL replay and partial-recovery reports;
 * :mod:`repro.fleet.sim` — synthetic fleet tick sources for benchmarks.
 
 Failure containment is load-bearing: a hostile tenant — a lane that
@@ -36,10 +38,9 @@ from repro.fleet.health import (
     HEALTH_STATES,
     CircuitBreaker,
     HealthTracker,
-    RecoveryReport,
-    TenantRecovery,
     read_health_journal,
 )
+from repro.fleet.recovery import RecoveryReport, TenantRecovery
 from repro.fleet.scheduler import SHED_POLICIES, FleetScheduler, SchedulerReport
 from repro.fleet.sim import FleetSimSource
 

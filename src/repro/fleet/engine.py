@@ -24,9 +24,8 @@ are asserted against independent references: the batch
 :class:`~repro.core.anomaly.AnomalyDetector` on a window cut from the
 repaired rows, and a test-only ingest oracle for the repair rules.
 :meth:`FleetDetector.stream_checkpoint` emits the per-stream v1
-checkpoint schema, so per-tenant recovery rides the
-:class:`~repro.stream.wal.CheckpointStore` /
-:class:`~repro.stream.wal.TickWAL` machinery.
+checkpoint schema, so per-tenant recovery
+(:mod:`repro.fleet.recovery`) reads single-stream files.
 
 **Lane bulkheads.**  The fallout stage is the only per-stream Python in
 the tick, and therefore the only place one tenant's pathological window
@@ -726,8 +725,8 @@ class FleetDetector:
     def stream_checkpoint(self, stream: int) -> Dict[str, object]:
         """One stream's state in the v1 per-stream checkpoint schema
         (``StreamingDetector.checkpoint``), so per-tenant recovery
-        (``CheckpointStore`` + ``TickWAL`` + ``from_checkpoints``) and
-        single-stream restore read the same files.
+        (:mod:`repro.fleet.recovery`) and single-stream restore read
+        the same files.
 
         A poisoned lane returns its frozen last-good checkpoint — the
         state captured the moment the bulkhead fired — so durable

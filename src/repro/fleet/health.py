@@ -21,17 +21,13 @@ of four **health states**:
 Transitions are journaled (JSON lines, append-only) into the tenant's
 durable directory next to its WAL when one exists, so an operator can
 reconstruct *when* and *why* a tenant left full service even after the
-process died.  :class:`RecoveryReport` is the skip-and-report outcome of
-:meth:`~repro.fleet.scheduler.FleetScheduler.recover`: per-tenant
-``recovered`` / ``missing`` / ``corrupt`` / ``replay_failed`` verdicts
-instead of one tenant's torn checkpoint aborting the whole fleet.
+process died.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -42,8 +38,6 @@ __all__ = [
     "HEALTH_STATES",
     "CircuitBreaker",
     "HealthTracker",
-    "RecoveryReport",
-    "TenantRecovery",
     "read_health_journal",
 ]
 
@@ -166,71 +160,6 @@ class CircuitBreaker:
     @property
     def code(self) -> int:
         return _BREAKER_CODE[self.state]
-
-
-@dataclass
-class TenantRecovery:
-    """One tenant's outcome inside a :class:`RecoveryReport`."""
-
-    tenant: str
-    #: ``recovered`` | ``missing`` | ``corrupt`` | ``replay_failed``
-    status: str
-    replayed_ticks: int = 0
-    detail: str = ""
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "tenant": self.tenant,
-            "status": self.status,
-            "replayed_ticks": self.replayed_ticks,
-            "detail": self.detail,
-        }
-
-
-@dataclass
-class RecoveryReport:
-    """Per-tenant outcome of a partial fleet recovery."""
-
-    outcomes: List[TenantRecovery] = field(default_factory=list)
-
-    def _named(self, status: str) -> List[str]:
-        return [o.tenant for o in self.outcomes if o.status == status]
-
-    @property
-    def recovered(self) -> List[str]:
-        return self._named("recovered")
-
-    @property
-    def missing(self) -> List[str]:
-        return self._named("missing")
-
-    @property
-    def corrupt(self) -> List[str]:
-        return self._named("corrupt")
-
-    @property
-    def failed(self) -> List[str]:
-        return self._named("replay_failed")
-
-    @property
-    def skipped(self) -> List[str]:
-        """Every tenant that did not recover cleanly."""
-        return [o.tenant for o in self.outcomes if o.status != "recovered"]
-
-    def outcome(self, tenant: str) -> Optional[TenantRecovery]:
-        for o in self.outcomes:
-            if o.tenant == tenant:
-                return o
-        return None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "recovered": self.recovered,
-            "missing": self.missing,
-            "corrupt": self.corrupt,
-            "replay_failed": self.failed,
-            "outcomes": [o.to_dict() for o in self.outcomes],
-        }
 
 
 class HealthTracker:

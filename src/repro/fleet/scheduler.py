@@ -18,13 +18,10 @@ is decoupled behind a queue with explicit backpressure:
   learned from one tenant immediately ranks for every other.
 
 Durability is per tenant: tenants listed in *durable* get their own
-WAL/checkpoint directory (``root_dir/<tenant>/``) using the exact
-single-stream formats (:class:`~repro.stream.wal.TickWAL`,
-:class:`~repro.stream.wal.CheckpointStore`,
-``StreamingDetector.checkpoint`` schema), so a crashed fleet recovers
-tenant state with :meth:`FleetScheduler.recover` — or any single tenant
-can be peeled off into a plain
-:class:`~repro.stream.supervisor.StreamSupervisor` without conversion.
+WAL/checkpoint directory (``root_dir/<tenant>/``) in the single-stream
+formats of :mod:`repro.fleet.recovery`, so a crashed fleet recovers with
+:meth:`FleetScheduler.recover`, or a single tenant can be peeled off
+into a plain :class:`~repro.stream.supervisor.StreamSupervisor`.
 
 Per-tenant observability (lag, sheds, verdicts, tick latency) lands in
 the process metrics registry as labeled families
@@ -71,8 +68,9 @@ from typing import (
 import numpy as np
 
 from repro.data.regions import Region, RegionSpec
+from repro.fleet import recovery
 from repro.fleet.engine import FleetDetector, FleetTick
-from repro.fleet.health import HealthTracker, RecoveryReport, TenantRecovery
+from repro.fleet.health import HealthTracker
 from repro.obs import metrics
 from repro.obs import trace
 from repro.stream.durability import TenantDurability
@@ -416,20 +414,18 @@ class FleetScheduler:
         self._durable: Set[str] = set(durable)
         self.max_wal_bytes_per_tenant = int(max_wal_bytes_per_tenant)
         self._wals: Dict[str, TickWAL] = {}
-        self._ckpts: Dict[str, CheckpointStore] = {}
         self._durability: Dict[str, TenantDurability] = {}
         for name in durable:
             tenant_dir = self.root_dir / name  # type: ignore[operator]
             self._wals[name] = TickWAL(
-                tenant_dir / "ticks.wal",
+                tenant_dir / recovery.WAL_NAME,
                 fsync_every=fsync_every,
                 segment_bytes=wal_segment_bytes,
             )
-            self._ckpts[name] = CheckpointStore(tenant_dir / "checkpoint.json")
             self._durability[name] = TenantDurability(
                 name,
                 self._wals[name],
-                self._ckpts[name],
+                CheckpointStore(tenant_dir / recovery.CHECKPOINT_NAME),
                 max_retries=storage_retries,
                 backoff_s=storage_backoff_s,
                 probe_every=storage_probe_every,
@@ -478,7 +474,7 @@ class FleetScheduler:
             breaker_cooldown_rounds=breaker_cooldown_rounds,
         )
         #: set by :meth:`recover` — per-tenant recovery outcomes.
-        self.recovery_report: Optional[RecoveryReport] = None
+        self.recovery_report: Optional[recovery.RecoveryReport] = None
         # ---- flight recorder + incident forensics -------------------
         self.flight = flight
         self.incidents = incidents
@@ -1324,15 +1320,12 @@ class FleetScheduler:
         for name in sorted(self._durable):
             s = self._stream_of[name]
             saved = self._durability[name].save_checkpoint(
-                {
-                    "version": 1,
-                    "detector": self.detector.stream_checkpoint(s),
-                    "processed_until": (
-                        float(self.detector.last_time[s])
-                        if self.detector._has_time[s]
-                        else None
-                    ),
-                }
+                recovery.envelope(
+                    self.detector.stream_checkpoint(s),
+                    float(self.detector.last_time[s])
+                    if self.detector._has_time[s]
+                    else None,
+                )
             )
             if saved:
                 self._durability[name].retire_wal(
@@ -1392,147 +1385,42 @@ class FleetScheduler:
     ) -> "FleetScheduler":
         """Rebuild a fleet scheduler from per-tenant durable state.
 
-        Loads each tenant's checkpoint, restores the fleet bitwise
-        (:meth:`FleetDetector.from_checkpoints`), then replays each
-        tenant's write-ahead log through the engine — the same
-        recovery contract as the single-stream supervisor: zero ticks
-        lost, zero re-processed.
-
-        Recovery is *partial*: a tenant whose checkpoint is missing,
-        torn, or corrupt — or whose WAL replay raises — is skipped and
-        reported instead of aborting the whole fleet.  Skipped tenants
-        come back with a fresh empty lane in ``quarantined`` health
-        (``replay_failed`` lanes stay poisoned at their last-good
-        state), and the per-tenant verdicts land on
-        ``scheduler.recovery_report`` (a
-        :class:`~repro.fleet.health.RecoveryReport`).  Only an empty
-        fleet — zero recoverable tenants — still raises.
+        Restores the fleet bitwise from each tenant's checkpoint, then
+        replays the WAL tails in lockstep rounds
+        (:mod:`repro.fleet.recovery`): zero ticks lost, zero
+        re-processed.  Recovery is *partial*: a tenant whose checkpoint
+        is missing, torn, or corrupt — or whose lane faults during
+        replay — comes back ``quarantined`` (on a fresh empty lane, or
+        poisoned at its last-good state) instead of aborting the fleet,
+        with its verdict on ``scheduler.recovery_report``.  Only zero
+        recoverable tenants still raises.
         """
-        root = Path(root_dir)
-        outcomes: Dict[str, TenantRecovery] = {}
-        states: Dict[str, Dict[str, object]] = {}
-        replays: Dict[str, List[Tuple[float, Dict[str, float]]]] = {}
-        wal_corruption: Dict[str, str] = {}
-        for name in tenants:
-            ckpt_path = root / name / "checkpoint.json"
-            store = CheckpointStore(ckpt_path)
-            stored = store.load()
-            if stored is None:
-                # CheckpointStore.load() returns None for both absent
-                # and unreadable payloads; the path tells them apart
-                status = "corrupt" if ckpt_path.exists() else "missing"
-                outcomes[name] = TenantRecovery(
-                    tenant=name,
-                    status=status,
-                    detail=f"checkpoint {status} at {ckpt_path}",
-                )
-                continue
-            detector_state = (
-                stored.get("detector") if isinstance(stored, dict) else None
-            )
-            if not isinstance(detector_state, dict) or (
-                detector_state.get("version")
-                != FleetDetector.CHECKPOINT_VERSION
-            ):
-                outcomes[name] = TenantRecovery(
-                    tenant=name,
-                    status="corrupt",
-                    detail="malformed checkpoint payload",
-                )
-                continue
-            until = stored.get("processed_until")
-            until = None if until is None else float(until)
-            wal = TickWAL(root / name / "ticks.wal")
-            rows: List[Tuple[float, Dict[str, float]]] = []
-            try:
-                ticks, wal_report = wal.replay_report()
-                for time, numeric_row, _cat in ticks:
-                    if until is not None and time <= until:
-                        continue
-                    rows.append((float(time), dict(numeric_row)))
-            except Exception as exc:
-                outcomes[name] = TenantRecovery(
-                    tenant=name,
-                    status="corrupt",
-                    detail=f"WAL replay failed: {exc}",
-                )
-                continue
-            finally:
-                wal.close()
-            states[name] = detector_state
-            replays[name] = rows
-            if wal_report.corrupt_records or wal_report.corrupt_segments:
-                wal_corruption[name] = (
-                    f"wal corruption: {wal_report.corrupt_records} "
-                    f"records / {wal_report.corrupt_segments} segments "
-                    f"skipped"
-                )
-        recovered = [name for name in tenants if name in states]
-        if not recovered:
+        loads = [recovery.load_tenant(Path(root_dir) / t, t) for t in tenants]
+        if all(load.state is None for load in loads):
             raise FileNotFoundError(
-                f"no recoverable durable tenants under {root}"
+                f"no recoverable durable tenants under {root_dir}"
             )
         # skipped tenants restart on a fresh empty lane, so the tenant
         # list (and stream order) survives a partial recovery
         detector = FleetDetector.from_checkpoints(
-            [states.get(name) for name in tenants], attributes=attributes
+            [load.state for load in loads], attributes=attributes
         )
         scheduler = cls(
             detector,
             tenants=list(tenants),
-            root_dir=root,
+            root_dir=root_dir,
             durable=list(tenants),
             **scheduler_kwargs,
         )
-        S = detector.n_streams
-        attrs = detector.attributes
-        ai_of = {a: j for j, a in enumerate(attrs)}
-        for name in recovered:
-            s = scheduler._stream_of[name]
-            rows = replays[name]
-            replayed = 0
-            try:
-                for time, numeric_row in rows:
-                    times = np.zeros(S)
-                    vals = np.zeros((S, len(attrs)))
-                    active = np.zeros(S, dtype=bool)
-                    times[s] = time
-                    active[s] = True
-                    for a, v in numeric_row.items():
-                        if a in ai_of:
-                            vals[s, ai_of[a]] = v
-                    tick = detector.tick(times, vals, active)
-                    replayed += 1
-                    for stream, regions in tick.closed.items():
-                        for region in regions:
-                            scheduler._enqueue(int(stream), region)
-            except Exception as exc:
-                # freeze the lane at wherever replay got to; the
-                # bulkhead keeps the rest of the fleet clean
-                detector.poison(s, reason=f"replay failed: {exc}")
-                outcomes[name] = TenantRecovery(
-                    tenant=name,
-                    status="replay_failed",
-                    replayed_ticks=replayed,
-                    detail=str(exc),
-                )
-                continue
-            outcomes[name] = TenantRecovery(
-                tenant=name,
-                status="recovered",
-                replayed_ticks=replayed,
-                detail=wal_corruption.get(name, ""),
-            )
+        report = recovery.replay_lockstep(detector, loads, scheduler._enqueue)
         scheduler._flush_buffer()
         # CRC-skipped WAL records are a forensics trigger: the tenant
         # recovered, but something rotted its durable history.
-        for name, detail in wal_corruption.items():
-            scheduler._note_interest(name, "wal_corruption")
-            scheduler._queue_incident(name, detail, 0)
+        for name, load in zip(tenants, loads):
+            if load.wal_note:
+                scheduler._note_interest(name, "wal_corruption")
+                scheduler._queue_incident(name, load.wal_note, 0)
         scheduler._flush_incidents(force=True)
-        report = RecoveryReport(
-            outcomes=[outcomes[name] for name in tenants]
-        )
         scheduler.recovery_report = report
         for outcome in report.outcomes:
             if outcome.status != "recovered":

@@ -17,14 +17,15 @@ downtime instead of a lost diagnosis session:
 * the backoff delay resets once a restarted source makes progress, so a
   flapping collector is retried quickly while a hard-down one backs off
   to ``max_backoff_s``;
-* with a ``wal_dir``, recovery goes through a write-ahead tick log
-  (:mod:`repro.stream.wal`): every tick is logged *before* the detector
-  sees it, checkpoints are persisted atomically (and truncate the log),
-  and a fault — or a whole process restart — restores the last durable
-  checkpoint and replays the logged ticks through the restored
-  detector.  Replay is bit-exact and the source resumes strictly after
-  the last logged tick, so **zero ticks are re-processed** and the
-  recovered detector is bitwise-identical to an uninterrupted run.
+* with a ``wal_dir``, every tick is logged *before* the detector sees
+  it (:mod:`repro.stream.wal`) and each checkpoint is persisted
+  atomically, retiring log segments older than the *previous* checkpoint
+  mark; a fault or a process restart restores the last durable
+  checkpoint and replays the logged ticks after it
+  (:mod:`repro.fleet.recovery`), so **zero ticks are re-processed** and
+  the detector ends bitwise-identical to an uninterrupted run.  With no
+  checkpoint yet the whole log is replayed; a checkpoint that fails
+  verification in every generation raises.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ import dataclasses
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.data.regions import Region
 from repro.faults.injectors import CollectorFault, Tick
+from repro.fleet import recovery
 from repro.obs import metrics, trace
 from repro.stream.detector import StreamingDetector
 from repro.stream.wal import CheckpointStore, TickWAL
@@ -192,7 +194,8 @@ class StreamSupervisor:
         instance that finished the stream (it is replaced on restore).
         With ``wal_dir``, a previous process's durable checkpoint and
         write-ahead log are recovered first, so a restarted supervisor
-        continues exactly where the dead one stopped.
+        continues exactly where the dead one stopped; a checkpoint that
+        verifies in no generation raises ``FileNotFoundError``.
         """
         marks = {
             name: counter.value for name, counter in _REPORT_COUNTERS.items()
@@ -204,37 +207,55 @@ class StreamSupervisor:
         seen_ends: set = set()
         span = trace.span("supervisor.run", wal=self.wal_dir is not None)
 
+        def collect(update) -> None:
+            for region in update.closed_regions:
+                if region.end not in seen_ends:
+                    seen_ends.add(region.end)
+                    closed_regions.append(region)
+
         wal: Optional[TickWAL] = None
         ckpt_store: Optional[CheckpointStore] = None
+        tail: List[Tick] = []  # logged ticks to replay before the source
         with span:
             if self.wal_dir is not None:
-                ckpt_store = CheckpointStore(self.wal_dir / "checkpoint.json")
+                ckpt_store = CheckpointStore(
+                    self.wal_dir / recovery.CHECKPOINT_NAME
+                )
                 wal = TickWAL(
-                    self.wal_dir / "ticks.wal", fsync_every=self.fsync_every
+                    self.wal_dir / recovery.WAL_NAME,
+                    fsync_every=self.fsync_every,
                 )
-                stored = ckpt_store.load()
-                if stored is not None:
-                    detector = StreamingDetector.from_checkpoint(
-                        stored["detector"]  # type: ignore[arg-type]
+                loaded = recovery.load_tenant(self.wal_dir, wal=wal)
+                if loaded.outcome.status == "corrupt":
+                    wal.close()
+                    raise FileNotFoundError(
+                        f"no recoverable checkpoint under {self.wal_dir}: "
+                        f"{loaded.outcome.detail}"
                     )
-                    until = stored.get("processed_until")
-                    processed_until = None if until is None else float(until)
-                processed_until = self._replay_wal(
-                    wal, detector, processed_until, closed_regions, seen_ends
-                )
+                processed_until, tail = loaded.processed_until, loaded.tail
+                if loaded.state is not None:
+                    detector = StreamingDetector.from_checkpoint(loaded.state)
+                else:  # nothing is retired before the first checkpoint
+                    tail = recovery.read_tail(wal, None)[0]
 
-            # the recovery baseline: (state, processed-up-to time)
-            checkpoint: Tuple[Dict[str, object], Optional[float]] = (
-                detector.checkpoint(),
-                processed_until,
-            )
-            high_water = processed_until
+            # the recovery baseline, (state, processed-up-to time), is
+            # taken once the start-up tail is replayed
+            checkpoint = None
             delay = self.backoff_s
             attempt = 0
             restarts = 0
             ticks_processed = 0  # this run's source ticks (checkpoint cadence)
             try:
                 while True:
+                    for time, numeric_row, categorical_row in tail:
+                        collect(
+                            detector.tick(time, numeric_row, categorical_row)
+                        )
+                        _SUP_WAL_REPLAYED.inc()
+                        processed_until = float(time)
+                    if checkpoint is None:
+                        checkpoint = (detector.checkpoint(), processed_until)
+                        high_water = processed_until
                     progressed = False
                     try:
                         for tick in self.source_factory(attempt):
@@ -259,10 +280,7 @@ class StreamSupervisor:
                             progressed = True
                             ticks_processed += 1
                             _SUP_TICKS.inc()
-                            for region in update.closed_regions:
-                                if region.end not in seen_ends:
-                                    seen_ends.add(region.end)
-                                    closed_regions.append(region)
+                            collect(update)
                             if (
                                 self.checkpoint_every
                                 and ticks_processed % self.checkpoint_every
@@ -273,17 +291,12 @@ class StreamSupervisor:
                                 checkpoint = (state, processed_until)
                                 if ckpt_store is not None and wal is not None:
                                     ckpt_store.save(
-                                        {
-                                            "version": 1,
-                                            "detector": state,
-                                            "processed_until": processed_until,
-                                        }
+                                        recovery.envelope(
+                                            state, processed_until
+                                        )
                                     )
-                                    # retain segments back to the
-                                    # previous checkpoint generation so
-                                    # a fallback load still finds its
-                                    # replay ticks (replay filters by
-                                    # processed_until either way)
+                                    # retains segments back to the
+                                    # previous checkpoint generation
                                     wal.mark_checkpoint()
                                 _SUP_CHECKPOINT_SECONDS.observe(
                                     _time.perf_counter() - t0
@@ -313,10 +326,7 @@ class StreamSupervisor:
                         if wal is not None:
                             # recover the post-checkpoint ticks from the log
                             # instead of re-pulling them from the source
-                            processed_until = self._replay_wal(
-                                wal, detector, processed_until,
-                                closed_regions, seen_ends,
-                            )
+                            tail = recovery.read_tail(wal, processed_until)[0]
             finally:
                 if wal is not None:
                     wal.close()
@@ -335,29 +345,3 @@ class StreamSupervisor:
                 closed_regions=len(report.closed_regions),
             )
         return report
-
-    @staticmethod
-    def _replay_wal(
-        wal: TickWAL,
-        detector: StreamingDetector,
-        processed_until: Optional[float],
-        closed_regions: List[Region],
-        seen_ends: set,
-    ) -> Optional[float]:
-        """Feed logged ticks after *processed_until* through *detector*.
-
-        Returns the new processed-until watermark.  Replay is bit-exact:
-        the detector was restored from the checkpoint the log tails, so
-        after replay its state equals an uninterrupted run's.
-        """
-        for time, numeric_row, categorical_row in wal.replay():
-            if processed_until is not None and time <= processed_until:
-                continue
-            update = detector.tick(time, numeric_row, categorical_row)
-            _SUP_WAL_REPLAYED.inc()
-            processed_until = float(time)
-            for region in update.closed_regions:
-                if region.end not in seen_ends:
-                    seen_ends.add(region.end)
-                    closed_regions.append(region)
-        return processed_until

@@ -33,10 +33,8 @@ All I/O routes through the fault-injectable storage shim
 passthrough and behavior is bitwise-identical to the unsegmented WAL
 this module replaces (asserted by ``bench_storage_chaos.py``).
 
-Recovery replays the log *through the restored detector* — restore is
-bit-exact and ``tick`` is deterministic, so the recovered detector is
-bitwise-identical to one that never crashed, and the source is resumed
-strictly after the last logged tick: zero ticks re-processed.
+Recovery — restore the checkpoint, then replay the log tail after it —
+lives in :mod:`repro.fleet.recovery`.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import tempfile
 import warnings
 from collections import deque
 from pathlib import Path
@@ -36,6 +37,7 @@ from repro.fleet import (
 )
 from repro.fleet.arena import FleetArena
 import repro.fleet.engine as fleet_engine
+from repro.fleet.recovery import TenantLoad, TenantRecovery, replay_lockstep
 from repro.fleet.fallout import (
     close_regions,
     cluster_window,
@@ -784,6 +786,166 @@ class TestFleetScheduler:
         pcts = sched.latency_percentiles()
         assert pcts["p50"] <= pcts["p90"] <= pcts["p99"]
         sched.close()
+
+
+# ----------------------------------------------------------------------
+# Lockstep recovery: one engine tick per tail row index, not per row
+# ----------------------------------------------------------------------
+def _crash_durable_fleet(root, tenants, attrs, batches, checkpoint_every):
+    """Drive a durable fleet through *batches* and crash it without a
+    final checkpoint.  Returns the live lane states, each tenant's WAL
+    tail length (its rows after the last checkpoint) and the live
+    ``(stream, region)`` closes of those rows, in submission order."""
+    S = len(tenants)
+    sched = FleetScheduler(
+        FleetDetector(S, attrs, **_BUSY_KW),
+        tenants=tenants,
+        root_dir=root,
+        durable=tenants,
+        checkpoint_every=checkpoint_every,
+        label_metrics=False,
+    )
+    first_tail_round = len(batches) // checkpoint_every * checkpoint_every
+    tails = np.zeros(S, dtype=np.int64)
+    closes = []
+    for r, (times, values, active) in enumerate(batches):
+        tick = sched.run_round(times, values, active)
+        if r >= first_tail_round:
+            tails += active
+            closes += [
+                (s, region)
+                for s, regions in tick.closed.items()
+                for region in regions
+            ]
+    live = [sched.detector.stream_checkpoint(s) for s in range(S)]
+    sched._pool.shutdown(wait=True)
+    for wal in sched._wals.values():
+        wal.close()
+    sched.health.close()
+    return live, [int(n) for n in tails], closes
+
+
+def _recover_counting(root, tenants, attrs):
+    """``FleetScheduler.recover`` with a counting double on
+    ``FleetDetector.tick`` (active lanes per call) and a recorder on
+    the diagnosis submissions."""
+    calls, submitted = [], []
+    real_tick = FleetDetector.tick
+
+    def counting_tick(self, times, values, active=None):
+        calls.append(int(np.count_nonzero(active)))
+        return real_tick(self, times, values, active)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FleetDetector, "tick", counting_tick)
+        patch.setattr(
+            FleetScheduler,
+            "_enqueue",
+            lambda self, stream, region: submitted.append((stream, region)),
+        )
+        recovered = FleetScheduler.recover(
+            root, tenants, attributes=attrs, label_metrics=False
+        )
+    return recovered, calls, submitted
+
+
+class TestLockstepRecovery:
+    ATTRS = ["a", "b", "c"]
+
+    def test_one_tick_per_tail_row_index(self, tmp_path):
+        """Uneven tails (0, 1, 7, 5, 6 rows) recover in 7 engine ticks,
+        each ticking the lanes that still have a row; closed regions go
+        out per round in stream order, exactly as the live rounds
+        submitted them; every lane matches the live fleet bitwise."""
+        tenants = [f"ls{i}" for i in range(5)]
+        S = len(tenants)
+        want_tails = [0, 1, 7, 5, 6]
+        batches = []
+        for r, (times, values, _) in enumerate(
+            _busy_source(S, self.ATTRS, seed=31).take(23)
+        ):
+            # the last checkpoint lands after round 15; lanes 2-4 close
+            # regions in round 20, the 5th row of their tails
+            active = np.array([r < 16 + n for n in want_tails])
+            batches.append((times, values, active))
+        live, tails, closes = _crash_durable_fleet(
+            tmp_path, tenants, self.ATTRS, batches, checkpoint_every=8
+        )
+        assert tails == want_tails
+        recovered, calls, submitted = _recover_counting(
+            tmp_path, tenants, self.ATTRS
+        )
+        assert calls == [sum(n > k for n in tails) for k in range(max(tails))]
+        assert submitted == closes
+        assert len({s for s, _ in closes}) > 1  # the order is exercised
+        report = recovered.recovery_report
+        assert report.recovered == tenants
+        for s, name in enumerate(tenants):
+            assert report.outcome(name).replayed_ticks == tails[s]
+            assert recovered.detector.stream_checkpoint(s) == live[s]
+        recovered.close()
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        checkpoint_every=st.integers(3, 12),
+        rounds=st.integers(12, 40),
+        quiet_from=st.lists(st.integers(0, 40), min_size=4, max_size=4),
+        absent=st.sampled_from([0.0, 0.2, 0.5]),
+    )
+    def test_lockstep_matches_live_fleet(
+        self, seed, checkpoint_every, rounds, quiet_from, absent
+    ):
+        """Any crash round, checkpoint cadence and activity pattern
+        (tenants going quiet early leave short or empty tails; random
+        absences leave gaps): recovery ticks max(tail) times and every
+        lane's state equals the live fleet's."""
+        tenants = [f"hx{i}" for i in range(4)]
+        S = len(tenants)
+        rng = np.random.default_rng(seed)
+        batches = []
+        for r, (times, values, _) in enumerate(
+            _busy_source(S, self.ATTRS, seed=seed).take(rounds)
+        ):
+            active = (np.array(quiet_from) > r) & (rng.random(S) >= absent)
+            batches.append((times, values, active))
+        # hypothesis reruns the body, so no function-scoped fixtures
+        with tempfile.TemporaryDirectory() as root:
+            live, tails, _ = _crash_durable_fleet(
+                root, tenants, self.ATTRS, batches, checkpoint_every
+            )
+            recovered, calls, _ = _recover_counting(
+                root, tenants, self.ATTRS
+            )
+            assert len(calls) == max(tails)
+            for s, name in enumerate(tenants):
+                outcome = recovered.recovery_report.outcome(name)
+                assert outcome.status == "recovered"
+                assert outcome.replayed_ticks == tails[s]
+                assert recovered.detector.stream_checkpoint(s) == live[s]
+            recovered.close()
+
+    def test_unconvertible_row_fails_only_its_own_lane(self):
+        rows = [
+            (float(t), {"a": t * 1.5, "b": 2.0 - t, "c": t % 3}, {})
+            for t in range(1, 6)
+        ]
+        bad = [rows[0], (2.0, {"a": "not a number", "b": 0.0}, {}), rows[2]]
+        detector = FleetDetector(2, self.ATTRS, **_BUSY_KW)
+        twin = FleetDetector(1, self.ATTRS, **_BUSY_KW)
+        loads = [
+            TenantLoad(TenantRecovery(name, "recovered"), {}, None, tail)
+            for name, tail in (("bad", bad), ("good", rows))
+        ]
+        report = replay_lockstep(detector, loads, lambda s, region: None)
+        failed, ok = report.outcomes
+        assert (failed.status, failed.replayed_ticks) == ("replay_failed", 1)
+        assert "not a number" in failed.detail
+        assert detector.poisoned[0] and not detector.poisoned[1]
+        assert (ok.status, ok.replayed_ticks) == ("recovered", len(rows))
+        for t, row, _ in rows:
+            twin.tick(np.array([t]), np.array([[row[a] for a in self.ATTRS]]))
+        assert detector.stream_checkpoint(1) == twin.stream_checkpoint(0)
 
 
 # ----------------------------------------------------------------------

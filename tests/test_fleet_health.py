@@ -541,6 +541,52 @@ class TestPartialRecovery:
             assert not tick.lane_errors
         recovered.close()
 
+    def test_lane_poisoned_during_replay_is_reported_failed(
+        self, tmp_path, monkeypatch
+    ):
+        """A lane fault the engine contains mid-replay must not pass as
+        a clean recovery: the tenant is ``replay_failed`` with the rows
+        fed before the fault, stays poisoned and quarantined, and the
+        other tenants still recover bitwise."""
+        states = self._run_durable_fleet(tmp_path)
+        victim = self.TENANTS.index("beta")
+        faults = []
+        restore = FleetDetector.from_checkpoints.__func__
+
+        def restore_with_fault(cls, lanes, attributes=None):
+            detector = restore(cls, lanes, attributes=attributes)
+            base = detector.tick_counts.copy()
+
+            def hook(stream, view):
+                if stream == victim:
+                    # tick_counts already includes the faulting row
+                    fed = int(detector.tick_counts[stream] - base[stream])
+                    faults.append(fed - 1)
+                    raise RuntimeError("pathological window")
+
+            detector.install_lane_fault(hook)
+            return detector
+
+        monkeypatch.setattr(
+            FleetDetector, "from_checkpoints", classmethod(restore_with_fault)
+        )
+        recovered = FleetScheduler.recover(
+            tmp_path, self.TENANTS, label_metrics=False
+        )
+        report = recovered.recovery_report
+        assert faults, "the victim lane never reached fallout in replay"
+        assert report.failed == ["beta"]
+        outcome = report.outcome("beta")
+        assert outcome.replayed_ticks == faults[0]
+        assert "pathological window" in outcome.detail
+        assert recovered.detector.poisoned[victim]
+        assert recovered.health.state("beta") == "quarantined"
+        for name in ("alpha", "gamma", "delta"):
+            assert report.outcome(name).status == "recovered"
+            s = self.TENANTS.index(name)
+            assert recovered.detector.stream_checkpoint(s) == states[name]
+        recovered.close()
+
     def test_zero_recoverable_tenants_still_raises(self, tmp_path):
         self._run_durable_fleet(tmp_path)
         CorruptTenantState(self.TENANTS, mode="missing").apply(tmp_path)

@@ -298,6 +298,61 @@ class TestSupervisorWithWAL:
         ]
         assert combined == region_bounds(expected)
 
+    def test_every_rotten_checkpoint_generation_raises(self, tmp_path):
+        """A checkpoint that exists but of which no generation verifies
+        must not restart silently from an empty detector: the retained
+        WAL holds only the ticks since the previous checkpoint mark."""
+        rows = scenario_rows()
+        first = StreamSupervisor(
+            make_detector(),
+            lambda attempt: iter(rows[:73]),  # "process dies" mid-stream
+            checkpoint_every=10,
+            sleep=lambda s: None,
+            wal_dir=tmp_path,
+        )
+        first.run()
+        store = CheckpointStore(tmp_path / "checkpoint.json")
+        for path in (store.path, store.previous_path):
+            assert path.exists()
+            path.write_text("rotten")
+        second = StreamSupervisor(
+            make_detector(),
+            lambda attempt: iter(rows),
+            checkpoint_every=10,
+            sleep=lambda s: None,
+            wal_dir=tmp_path,
+        )
+        with pytest.raises(FileNotFoundError, match="checkpoint corrupt"):
+            second.run()
+
+    def test_missing_checkpoint_replays_the_whole_log(self, tmp_path):
+        """Before the first checkpoint nothing is retired, so a restart
+        with no checkpoint replays the whole log exactly."""
+        rows = scenario_rows(60)
+        baseline = make_detector()
+        for t, num, cat in rows:
+            baseline.tick(t, num, cat)
+        first = StreamSupervisor(
+            make_detector(),
+            lambda attempt: iter(rows[:7]),  # dies before checkpointing
+            checkpoint_every=10,
+            sleep=lambda s: None,
+            wal_dir=tmp_path,
+        )
+        first.run()
+        assert not (tmp_path / "checkpoint.json").exists()
+        second = StreamSupervisor(
+            make_detector(),
+            lambda attempt: iter(rows),
+            checkpoint_every=10,
+            sleep=lambda s: None,
+            wal_dir=tmp_path,
+        )
+        report = second.run()
+        assert report.wal_replayed_ticks == 7
+        assert report.reprocessed_ticks == 0
+        assert second.detector.checkpoint() == baseline.checkpoint()
+
     def test_recovered_detector_is_bitwise_identical(self, tmp_path):
         """After WAL recovery the detector's window state equals the
         uninterrupted detector's, value for value."""
