@@ -24,7 +24,7 @@ Two legs, both asserted before any number is reported:
   source ticks;
 * **dogfood-observability** — a diagnosis service loop is run with the
   labeled-space cache knocked out mid-run while
-  :class:`repro.obs.dogfood.MetricsTimeline` samples the metrics
+  :class:`repro.obs.metrics.TimelineRing` samples the metrics
   registry each tick.  The pipeline's own telemetry must round-trip
   ``regularize_dataset`` with zero missing values, show the cache-miss
   step after the fault, stream through a detector and explain with zero
@@ -172,7 +172,7 @@ def _run_dogfood_leg(params: dict, seed: int = 5) -> dict:
     from repro.core.knowledge import MYSQL_LINUX_RULES
     from repro.data.preprocess import regularize_dataset
     from repro.data.regions import RegionSpec
-    from repro.obs.dogfood import MetricsTimeline
+    from repro.obs.metrics import REGISTRY, TimelineRing
 
     ticks = params["dogfood_ticks"]
     fault_tick = params["dogfood_fault_tick"]
@@ -184,7 +184,7 @@ def _run_dogfood_leg(params: dict, seed: int = 5) -> dict:
     service = DBSherlock(rules=MYSQL_LINUX_RULES)
     service.feedback(true_cause, service.explain(dataset, regions), dataset)
 
-    timeline = MetricsTimeline(interval=1.0)
+    timeline = TimelineRing(REGISTRY, interval=1.0)
     timeline.sample()  # baseline at t=0 (cache already warm)
     for tick in range(1, ticks + 1):
         if tick >= fault_tick:

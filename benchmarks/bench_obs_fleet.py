@@ -204,7 +204,7 @@ def run_overhead(scale: str) -> dict:
                 else:
                     on = make(True, base / f"on-{trial}")
                     off = make(False, base / f"off-{trial}")
-                flight = on.flight
+                flight = on.forensics.flight
                 for r, batch in enumerate(batches):
                     # alternate which mode runs first within the round
                     order = ("off", "on") if (trial + r) % 2 == 0 else (
@@ -542,7 +542,7 @@ def run_storm(scale: str) -> dict:
             incident_kw=caps,
             fault_cycles=cycles,
         )
-        stats = sched.incidents.stats()
+        stats = sched.forensics.incidents.stats()
         skipped = _counter_sum("repro_incident_skipped_total")
         disk_bytes = sum(
             f.stat().st_size

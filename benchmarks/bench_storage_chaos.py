@@ -275,15 +275,15 @@ def run_disk_chaos(scale: str) -> dict:
         assert not still_degraded, f"never re-promoted: {still_degraded}"
         stranded = {
             t: len(managed.buffer)
-            for t, managed in sched._durability.items()
+            for t, managed in sched.durability.items()
             if managed.buffer
         }
         assert not stranded, f"volatile ticks stranded: {stranded}"
         degrade_counts = {
-            t: sched._durability[t].degraded_count for t in tenants
+            t: sched.durability[t].degraded_count for t in tenants
         }
         repromote_counts = {
-            t: sched._durability[t].repromoted_count for t in tenants
+            t: sched.durability[t].repromoted_count for t in tenants
         }
         assert degrade_counts[roles["full_disk"][0]] >= 1, (
             "the full-disk tenant never degraded — the fault never bit"
@@ -409,7 +409,7 @@ def run_crash_durability(scale: str) -> dict:
 
         windows, positions = {}, {}
         for t in tenants:
-            wal = sched._wals[t]
+            wal = sched.durability[t].wal
             windows[t] = (wal.appended, wal.durable_appended)
             positions[t] = wal.durable_position()
             assert 0 <= wal.appended - wal.durable_appended < params[
@@ -419,10 +419,10 @@ def run_crash_durability(scale: str) -> dict:
         # power loss: no clean close — drop every handle, then truncate
         # each active segment to its last fsynced offset (the page
         # cache dies with the process)
-        sched._pool.shutdown(wait=True)
+        sched.executor.close()
         sched.health.close()
         for t in tenants:
-            sched._wals[t]._fh.close()
+            sched.durability[t].wal._fh.close()
             active_seg, durable_offset = positions[t]
             os.truncate(active_seg, durable_offset)
 
@@ -448,7 +448,7 @@ def run_crash_durability(scale: str) -> dict:
         # its per-stream clock sits exactly on the last fsynced tick
         lost_acked = 0
         for t in tenants:
-            s = recovered._stream_of[t]
+            s = recovered.tenants.index(t)
             _, durable = windows[t]
             expected = float(rounds[durable - 1][0][s])
             got = float(recovered.detector.last_time[s])
@@ -500,7 +500,7 @@ def run_generation_fallback(scale: str) -> dict:
             "the fallback leg needs at least two checkpoint generations"
         )
         reference = {
-            t: sched.detector.stream_checkpoint(sched._stream_of[t])
+            t: sched.detector.stream_checkpoint(sched.tenants.index(t))
             for t in tenants
         }
         sched.close()
@@ -530,7 +530,7 @@ def run_generation_fallback(scale: str) -> dict:
         }
         for t in tenants:
             got = recovered.detector.stream_checkpoint(
-                recovered._stream_of[t]
+                recovered.tenants.index(t)
             )
             assert got == reference[t], (
                 f"{t}: recovered state diverges from pre-crash state"

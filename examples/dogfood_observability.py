@@ -17,7 +17,7 @@ Run:  python examples/dogfood_observability.py
 from repro import DBSherlock, MYSQL_LINUX_RULES, simulate_run
 from repro.data.preprocess import regularize_dataset
 from repro.obs import trace
-from repro.obs.dogfood import MetricsTimeline
+from repro.obs.metrics import REGISTRY, TimelineRing
 from repro.obs.report import stage_summary
 from repro.data.regions import RegionSpec
 
@@ -34,7 +34,7 @@ def main() -> None:
     service = DBSherlock(rules=MYSQL_LINUX_RULES)
     service.feedback(true_cause, service.explain(dataset, regions), dataset)
 
-    timeline = MetricsTimeline(interval=1.0)
+    timeline = TimelineRing(REGISTRY, interval=1.0)
     timeline.sample()  # baseline snapshot at t=0
     with trace.recording() as recorder:
         for tick in range(1, TICKS + 1):

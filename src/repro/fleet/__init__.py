@@ -14,9 +14,11 @@ Layers, bottom up:
 * :mod:`repro.fleet.arena` — the columnar ring + Equation 4 stats;
 * :mod:`repro.fleet.fallout` — per-stream re-cluster and region close;
 * :mod:`repro.fleet.engine` — the vectorized detector pipeline;
-* :mod:`repro.fleet.scheduler` — multi-tenant diagnosis scheduling,
-  backpressure/shed policies, deadline tiers with degraded fallbacks,
-  retry with backoff, per-tenant durability and metrics;
+* :mod:`repro.fleet.scheduler` — the multi-tenant tick loop,
+  per-tenant durability and metrics;
+* :mod:`repro.fleet.diagnosis` — the diagnosis executor: fused batches,
+  shed policies, deadline tiers with degraded fallbacks, retries;
+* :mod:`repro.fleet.forensics` — flight-recorder rounds and incidents;
 * :mod:`repro.fleet.health` — the tenant health model (healthy /
   degraded / quarantined / ejected), per-tenant circuit breakers and
   the durable health journal;

@@ -1,12 +1,12 @@
-"""Self-observation layer: tracing, metrics, and dogfood telemetry.
+"""Self-observation layer: tracing, metrics, and metric timelines.
 
 - :mod:`repro.obs.trace` — hierarchical spans recorded as JSON-lines
   events, context-propagated across ``parallel_map`` workers, free when
   disabled.
 - :mod:`repro.obs.metrics` — process-wide counter/gauge/histogram
-  registry with Prometheus-text and JSON exporters.
-- :mod:`repro.obs.dogfood` — resamples the registry into a per-second
-  ``Dataset`` so the pipeline can diagnose itself.
+  registry with Prometheus-text and JSON exporters; its
+  ``TimelineRing`` resamples the registry into a per-second ``Dataset``
+  so the pipeline can diagnose itself.
 - :mod:`repro.obs.report` — renders traces and snapshots as ASCII
   (``repro-sherlock obs report``).
 - :mod:`repro.obs.flight` — always-on tail-sampled flight recorder

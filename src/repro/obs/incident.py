@@ -20,7 +20,7 @@ bound bundle volume under storms — a flapping tenant cannot fill the
 disk with its own post-mortems.
 
 :func:`explain_bundle` closes the loop: it replays the bundle's metric
-timeline through ``DBSherlock.explain`` (the dogfood path), so the tool
+timeline through ``DBSherlock.explain`` (as a ``TimelineRing`` dataset), so the tool
 diagnoses its own incidents from the retained evidence alone.
 """
 
@@ -416,8 +416,8 @@ def load_bundle(path) -> dict:
 def explain_bundle(path, sherlock=None):
     """Diagnose a bundle from its own retained metric timeline.
 
-    Rebuilds the bundle's timeline as a rates dataset (the dogfood
-    path), regularises it, frames the manifest's abnormal/normal window
+    Rebuilds the bundle's timeline as a rates dataset
+    (:meth:`~repro.obs.metrics.TimelineRing.to_dataset`), regularises it, frames the manifest's abnormal/normal window
     as a :class:`~repro.data.regions.RegionSpec`, and runs
     ``DBSherlock.explain``.  Returns ``(explanation, dataset, spec)``.
 
@@ -427,7 +427,7 @@ def explain_bundle(path, sherlock=None):
     from repro.core.explain import DBSherlock
     from repro.data.preprocess import regularize_dataset
     from repro.data.regions import RegionSpec
-    from repro.obs.dogfood import MetricsTimeline
+    from repro.obs.metrics import TimelineRing
 
     bundle = load_bundle(path)
     timeline = bundle["timeline"]
@@ -436,12 +436,12 @@ def explain_bundle(path, sherlock=None):
     window = bundle["manifest"].get("window") or {}
     if not window.get("abnormal"):
         raise ValueError(f"bundle window has no abnormal region: {path}")
-    mt = MetricsTimeline.from_samples(
+    ring = TimelineRing.from_samples(
         [(float(t), dict(row)) for t, row in timeline["samples"]],
         kinds=timeline.get("kinds"),
         interval=float(timeline.get("interval", 1.0)),
     )
-    dataset = mt.to_dataset(
+    dataset = ring.to_dataset(
         rates=True, name=f"incident:{bundle['manifest']['tenant']}"
     )
     dataset, _report = regularize_dataset(dataset)

@@ -10,12 +10,12 @@ one instrument and re-imports are harmless.
 
 Exporters: :meth:`MetricsRegistry.to_prometheus` (text exposition
 format) and :meth:`MetricsRegistry.to_json` / :meth:`snapshot` (plain
-dicts — what :mod:`repro.obs.dogfood` samples into a ``Dataset``).
+dicts).  :class:`TimelineRing` samples the registry into a ``Dataset``.
 
 Single-stream instruments are label-free: distinct code paths get
 distinct metric names (``repro_dbscan_grid_fits_total`` vs
-``repro_dbscan_dense_fits_total``), which also keeps the dogfood
-``Dataset`` attribute list stable.  The fleet layer
+``repro_dbscan_dense_fits_total``), which also keeps the
+timeline ``Dataset`` attribute list stable.  The fleet layer
 (:mod:`repro.fleet.scheduler`) is the one consumer that genuinely needs
 label cardinality — per-tenant lag/shed/verdict series — so
 :meth:`MetricsRegistry.counter` & co. accept an optional ``labelnames``
@@ -410,16 +410,22 @@ class MetricFamily:
 class TimelineRing:
     """A bounded ring of flat registry samples — retained metric history.
 
-    The dogfood ``MetricsTimeline`` grows without bound and raises when
-    time fails to advance; the ring is its always-on counterpart: fixed
-    memory (``maxlen`` samples), monotonicized timestamps (two callers
-    sampling "at the same time" advance by ``interval`` instead of
-    raising), and a :meth:`window` accessor for incident bundles.
+    DBSherlock diagnoses databases from per-second telemetry counters,
+    and the registry *is* a set of telemetry counters — about the
+    diagnosis pipeline itself.  The ring closes that loop: sample it on
+    a fixed cadence and :meth:`to_dataset` turns the samples into a
+    :class:`~repro.data.dataset.Dataset` that ``DBSherlock.explain`` and
+    the streaming detector can run on (a cache knocked out mid-run shows
+    up as a miss-rate step).  Memory is fixed (``max_samples``), and
+    timestamps are monotonicized: two callers sampling "at the same
+    time" advance by ``interval`` instead of raising.  :meth:`window`
+    feeds incident bundles, and :meth:`from_samples` rebuilds a ring
+    from a bundle's stored samples.
     """
 
     def __init__(
         self,
-        registry: "MetricsRegistry",
+        registry: Optional["MetricsRegistry"],
         max_samples: int = 512,
         interval: float = 1.0,
     ) -> None:
@@ -435,9 +441,33 @@ class TimelineRing:
         self._kinds: Dict[str, str] = {}
         self._lock = threading.Lock()
 
+    @classmethod
+    def from_samples(
+        cls,
+        samples: Sequence[Tuple[float, Dict[str, float]]],
+        kinds: Optional[Dict[str, str]] = None,
+        interval: float = 1.0,
+    ) -> "TimelineRing":
+        """A registry-less ring of stored ``(t, row)`` samples (an
+        incident bundle's ``timeline.json``) that :meth:`to_dataset`
+        treats as live ones.  Stored times must strictly advance — a
+        file whose times do not is damaged — so this raises
+        ``ValueError`` instead of monotonicizing them."""
+        ring = cls(None, max(1, len(samples)), interval)
+        for t, row in samples:
+            t = float(t)
+            if ring._samples and t <= ring._samples[-1][0]:
+                raise ValueError(
+                    f"sample time {t} does not advance past "
+                    f"{ring._samples[-1][0]}"
+                )
+            ring._samples.append((t, dict(row)))
+        ring._kinds.update(kinds or {})
+        return ring
+
     def sample(self, t: Optional[float] = None) -> float:
         """Append one flat registry sample; returns the stamped time."""
-        row, kinds = self.registry.flat_sample()
+        row, kinds = self.registry.flat_sample()  # type: ignore[union-attr]
         with self._lock:
             last = self._samples[-1][0] if self._samples else None
             if t is None:
@@ -462,6 +492,61 @@ class TimelineRing:
         """Attribute → metric kind for every attribute ever sampled."""
         with self._lock:
             return dict(self._kinds)
+
+    def to_dataset(
+        self,
+        rates: bool = True,
+        name: str = "obs-telemetry",
+        attributes: Optional[Sequence[str]] = None,
+    ):
+        """The retained samples as a :class:`~repro.data.dataset.Dataset`.
+
+        With ``rates`` (default), counters and histogram ``_count`` /
+        ``_sum`` series become per-interval deltas stamped at the later
+        sample — Equation 4's sliding medians expect level shifts, and a
+        monotone cumulative series would look anomalous forever — so
+        ``n`` samples yield ``n - 1`` rows; gauges take the later
+        sample's level.  Metrics registered mid-timeline are backfilled
+        with zeros.
+        """
+        from repro.data.dataset import Dataset
+
+        samples = self.window()
+        kinds = self.kinds()
+        if rates:
+            if len(samples) < 2:
+                raise ValueError("rates need at least two samples")
+        elif not samples:
+            raise ValueError("the timeline has no samples")
+        attrs = (
+            list(attributes)
+            if attributes is not None
+            else sorted({a for _t, row in samples for a in row})
+        )
+        rows = [row for _t, row in samples]
+
+        def cumulative(a: str) -> bool:
+            # counters and histogram count/sum series accumulate
+            if a in kinds:
+                return kinds[a] == "counter"
+            base, _, suffix = a.rpartition("_")
+            return suffix in ("count", "sum") and kinds.get(base) == "histogram"
+
+        if not rates:
+            numeric = {a: [row.get(a, 0.0) for row in rows] for a in attrs}
+            return Dataset([t for t, _ in samples], numeric=numeric, name=name)
+        numeric = {
+            a: (
+                [
+                    now.get(a, 0.0) - before.get(a, 0.0)
+                    for before, now in zip(rows, rows[1:])
+                ]
+                if cumulative(a)
+                else [row.get(a, 0.0) for row in rows[1:]]
+            )
+            for a in attrs
+        }
+        return Dataset([t for t, _ in samples[1:]], numeric=numeric, name=name)
 
     def clear(self) -> None:
         with self._lock:
@@ -583,9 +668,9 @@ class MetricsRegistry:
     def flat_sample(self) -> Tuple[Dict[str, float], Dict[str, str]]:
         """One flat ``attribute → float`` row plus attribute kinds.
 
-        The fast-path sibling of :meth:`snapshot` +
-        ``dogfood.flatten_snapshot``: counters/gauges contribute their
-        value, histograms contribute ``<name>_count``/``<name>_sum``
+        The flat, fast-path sibling of :meth:`snapshot`: counters and
+        gauges contribute their value, histograms contribute
+        ``<name>_count``/``<name>_sum``
         (no bucket vectors are materialised), families expand to their
         rendered per-label names.  Cheap enough for per-round sampling.
         """

@@ -752,9 +752,7 @@ class TestFleetScheduler:
         live_states = [
             sched.detector.stream_checkpoint(s) for s in range(S)
         ]
-        sched._pool.shutdown(wait=True)
-        for wal in sched._wals.values():
-            wal.close()
+        sched.close()
 
         recovered = FleetScheduler.recover(
             tmp_path, tenants, label_metrics=False
@@ -818,10 +816,7 @@ def _crash_durable_fleet(root, tenants, attrs, batches, checkpoint_every):
                 for region in regions
             ]
     live = [sched.detector.stream_checkpoint(s) for s in range(S)]
-    sched._pool.shutdown(wait=True)
-    for wal in sched._wals.values():
-        wal.close()
-    sched.health.close()
+    sched.close()  # no final checkpoint: the tails live in the WALs
     return live, [int(n) for n in tails], closes
 
 
@@ -840,8 +835,10 @@ def _recover_counting(root, tenants, attrs):
         patch.setattr(FleetDetector, "tick", counting_tick)
         patch.setattr(
             FleetScheduler,
-            "_enqueue",
-            lambda self, stream, region: submitted.append((stream, region)),
+            "submit_diagnosis",
+            lambda self, stream, region, dataset=None: submitted.append(
+                (stream, region)
+            ),
         )
         recovered = FleetScheduler.recover(
             root, tenants, attributes=attrs, label_metrics=False
@@ -877,11 +874,37 @@ class TestLockstepRecovery:
         )
         assert calls == [sum(n > k for n in tails) for k in range(max(tails))]
         assert submitted == closes
+        # replayed closes count like live ones: conservation holds
+        assert recovered.report.closed_regions == len(closes)
         assert len({s for s, _ in closes}) > 1  # the order is exercised
         report = recovered.recovery_report
         assert report.recovered == tenants
         for s, name in enumerate(tenants):
             assert report.outcome(name).replayed_ticks == tails[s]
+            assert recovered.detector.stream_checkpoint(s) == live[s]
+        recovered.close()
+
+    def test_attributes_come_from_the_tail_without_a_window(self, tmp_path):
+        """Lanes idle through their only checkpoint leave window-less
+        states; ``recover`` without ``attributes=`` takes the names from
+        the first WAL tail row."""
+        tenants = ["idle0", "idle1"]
+        batches = [
+            (times, values, np.full(2, r >= 5))
+            for r, (times, values, _) in enumerate(
+                _busy_source(2, self.ATTRS, seed=3).take(8)
+            )
+        ]
+        live, tails, _ = _crash_durable_fleet(
+            tmp_path, tenants, self.ATTRS, batches, checkpoint_every=5
+        )
+        assert tails == [3, 3]
+        recovered = FleetScheduler.recover(
+            tmp_path, tenants, label_metrics=False
+        )
+        assert recovered.detector.attributes == self.ATTRS
+        assert recovered.recovery_report.recovered == tenants
+        for s in range(2):
             assert recovered.detector.stream_checkpoint(s) == live[s]
         recovered.close()
 
@@ -1368,7 +1391,7 @@ class TestSchedulerShutdownRaces:
                 closed[sched.tenants[s]].extend(tick.closed[s])
         # no drain(): batches are still buffered and executing when the
         # shutdown starts — close() must settle them, not strand them
-        assert sched._pending or sched._buffer or sched.report.diagnoses
+        assert sched.executor.queued() or sched.report.diagnoses
         sched.close()
         report = sched.report
         assert report.closed_regions > 0
@@ -1435,10 +1458,7 @@ class TestSchedulerShutdownRaces:
                 sched.checkpoint()
         live = [sched.detector.stream_checkpoint(s) for s in range(S)]
         # crash without a final checkpoint: rounds 36..55 live in WALs
-        sched._pool.shutdown(wait=True)
-        for wal in sched._wals.values():
-            wal.close()
-        sched.health.close()
+        sched.close()
 
         recovered = FleetScheduler.recover(tmp_path, tenants, label_metrics=False)
         for s in range(S):

@@ -324,6 +324,65 @@ class TestLaneBulkhead:
         sched.close()
 
 
+    def test_readmit_replays_rows_skipped_while_poisoned(self, tmp_path):
+        """A durable tenant poisoned at round 10 and readmitted at round
+        20 replays the rows it skipped from its WAL (kept across the
+        checkpoints in between): at round 30 its lane equals a
+        never-poisoned twin's, and the replay's closes are counted."""
+        tenants = ["p0", "p1"]
+        batches = list(_storm_source(2, seed=5).take(30))
+
+        def run(root, poisoned):
+            sched = FleetScheduler(
+                FleetDetector(2, ATTRS, **DET_KW),
+                tenants=tenants,
+                root_dir=root,
+                durable=tenants,
+                checkpoint_every=5,
+                label_metrics=False,
+            )
+            for r, (times, values, active) in enumerate(batches):
+                if poisoned and r == 10:
+                    sched.detector.poison(0, "operator")
+                if poisoned and r == 20:
+                    sched.readmit("p0")
+                sched.run_round(times, values, active)
+            sched.close()
+            return sched
+
+        twin = run(tmp_path / "twin", False)
+        sched = run(tmp_path / "readmitted", True)
+        assert sched.detector.poison_skipped.tolist() == [10, 0]
+        assert sched.detector.tick_counts.tolist() == [30, 30]
+        for s in range(2):
+            assert sched.detector.stream_checkpoint(
+                s
+            ) == twin.detector.stream_checkpoint(s), s
+        assert sched.report.closed_regions == twin.report.closed_regions > 0
+        assert sched.health.state("p0") == "healthy"
+
+    def test_readmit_replay_that_faults_requarantines(self, tmp_path):
+        tenants = ["q0", "q1"]
+        det = FleetDetector(2, ATTRS, **DET_KW)
+        sched = FleetScheduler(
+            det,
+            tenants=tenants,
+            root_dir=tmp_path,
+            durable=tenants,
+            label_metrics=False,
+        )
+        det.install_lane_fault(LaneExceptionFault([0], after_fallouts=0))
+        for times, values, active in _storm_source(2).take(60):
+            sched.run_round(times, values, active)
+        assert det.poison_skipped[0] > 0
+        # the fault is still installed: replaying the skipped rows hits it
+        sched.readmit("q0")
+        assert bool(det.poisoned[0])
+        assert sched.health.state("q0") == "quarantined"
+        assert sched.health.reason("q0").startswith("readmission replay:")
+        sched.close()
+
+
 # ----------------------------------------------------------------------
 # Diagnosis failures surface; retries isolate; the breaker ejects
 # ----------------------------------------------------------------------
@@ -349,8 +408,6 @@ class TestDiagnosisFailures:
             diagnose_jobs=4,
             max_pending=64,
             label_metrics=False,
-            max_retries=1,
-            backoff_s=0.01,
             breaker_threshold=1,
             breaker_cooldown_rounds=1000,  # stays open for this run
         )
@@ -498,10 +555,7 @@ class TestPartialRecovery:
             for s, t in enumerate(self.TENANTS)
         }
         # crash without a final checkpoint: the tail lives in the WALs
-        sched._pool.shutdown(wait=True)
-        for wal in sched._wals.values():
-            wal.close()
-        sched.health.close()
+        sched.close()
         return states
 
     def test_skip_and_report_names_exactly_the_rotten_tenants(

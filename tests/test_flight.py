@@ -421,6 +421,6 @@ class TestSchedulerIntegration:
         sched = _quiet_fleet(
             tmp_path, self.TENANTS, self.ATTRS, flight=FlightRecorder()
         )
-        assert trace.get_recorder() is sched.flight
+        assert trace.get_recorder() is sched.forensics.flight
         sched.close()
         assert trace.get_recorder() is None

@@ -1,4 +1,4 @@
-"""Tests for the self-observation layer (tracing, metrics, dogfood).
+"""Tests for the self-observation layer (tracing, metrics, timelines).
 
 Contracts pinned here:
 
@@ -8,8 +8,9 @@ Contracts pinned here:
   no-op object and no event or attribute dict is ever materialised;
 * exporters — Prometheus text and JSON snapshots are byte-stable for a
   known registry state;
-* dogfood — a :class:`~repro.obs.dogfood.MetricsTimeline` round-trips
-  ``regularize_dataset`` with zero missing values and correct deltas;
+* dogfood — a :class:`~repro.obs.metrics.TimelineRing` dataset
+  round-trips ``regularize_dataset`` with zero missing values and
+  correct deltas;
 * satellites — alias-store persistence and learning, supervisor report
   ``asdict``, cache eviction/resident-byte accounting and the
   stats-reset-after-``clear()`` fix.
@@ -23,7 +24,7 @@ import pytest
 
 from repro.data.dataset import Dataset
 from repro.data.preprocess import regularize_dataset
-from repro.obs import dogfood, metrics, trace
+from repro.obs import metrics, trace
 from repro.obs.report import render_report, span_tree
 from repro.perf.parallel import parallel_map
 from repro.schema.aliases import AliasStore
@@ -387,7 +388,7 @@ class TestDogfood:
         ticks = registry.counter("ticks_total")
         depth = registry.gauge("depth")
         lat = registry.histogram("lat_seconds", buckets=(1.0,))
-        timeline = dogfood.MetricsTimeline(registry, interval=1.0)
+        timeline = metrics.TimelineRing(registry, interval=1.0)
         for i in range(6):
             ticks.inc(10)
             depth.set(i)
@@ -414,13 +415,19 @@ class TestDogfood:
         ]
 
     def test_sample_time_must_advance(self):
-        timeline = dogfood.MetricsTimeline(metrics.MetricsRegistry())
-        timeline.sample(t=5.0)
+        # live samples are monotonicized; stored ones must advance
+        timeline = metrics.TimelineRing(metrics.MetricsRegistry())
+        assert timeline.sample(t=5.0) == 5.0
+        assert timeline.sample(t=5.0) == 6.0
         with pytest.raises(ValueError):
-            timeline.sample(t=5.0)
+            metrics.TimelineRing.from_samples([(5.0, {}), (5.0, {})])
+        stored = metrics.TimelineRing.from_samples(
+            self._timeline().window(), kinds=self._timeline().kinds()
+        )
+        assert list(stored.to_dataset().column("ticks_total")) == [10.0] * 5
 
     def test_rates_need_two_samples(self):
-        timeline = dogfood.MetricsTimeline(metrics.MetricsRegistry())
+        timeline = metrics.TimelineRing(metrics.MetricsRegistry())
         timeline.sample()
         with pytest.raises(ValueError):
             timeline.to_dataset(rates=True)
@@ -428,7 +435,7 @@ class TestDogfood:
     def test_metric_registered_mid_timeline_backfills_zero(self):
         registry = metrics.MetricsRegistry()
         registry.counter("a_total").inc()
-        timeline = dogfood.MetricsTimeline(registry)
+        timeline = metrics.TimelineRing(registry)
         timeline.sample()
         timeline.sample()
         registry.counter("late_total").inc(4)
@@ -437,7 +444,8 @@ class TestDogfood:
         assert list(dataset.column("late_total")) == [0.0, 4.0]
 
     def test_flatten_snapshot(self):
-        row = dogfood.flatten_snapshot(_golden_registry().snapshot())
+        row, kinds = _golden_registry().flat_sample()
+        assert kinds["latency_seconds"] == "histogram"
         assert row == {
             "requests_total": 3.0,
             "queue_depth": 2.0,
