@@ -22,16 +22,15 @@ claims:
 Two storm legs ride along (the anomaly-storm tentpole):
 
 * **storm fallout clustering** — a fleet where ``--storm-fraction`` of
-  the tenants degrade at once is driven twice over the *same*
-  materialized rounds: once with the batched fallout path
-  (``batch_fallout=True`` → ``cluster_windows_batch`` /
-  ``close_regions_batch``) and once with the serial per-stream loop.
-  Every tick's results are compared bitwise outside the timed sections,
-  and the serial-vs-batched fleet-tick p99 speedup is asserted.  Each
-  path is re-run over the identical rounds several times and the
-  per-tick minimum taken — the work per tick index is deterministic, so
-  the elementwise minimum strips scheduler noise without touching the
-  comparison;
+  the tenants degrade at once re-clusters every fallout stream of a tick
+  in one fused ``cluster_windows_batch`` / ``close_regions_batch`` call.
+  On the first pass, outside the timed sections, every fallout lane of
+  every tick is compared bitwise against a one-lane
+  ``cluster_windows_batch`` call and ``close_regions`` on the same
+  window, and the fleet-tick p99 is recorded.  The fleet is re-run over
+  the identical rounds several times and the per-tick minimum taken —
+  the work per tick index is deterministic, so the elementwise minimum
+  strips scheduler noise;
 * **diagnosis throughput scaling** — a replay harness captures closed
   regions with their windows, then pushes the identical job list
   through :meth:`~repro.fleet.scheduler.FleetScheduler.submit_diagnosis`
@@ -65,6 +64,10 @@ from repro.core.explain import DBSherlock  # noqa: E402
 from repro.data.dataset import Dataset  # noqa: E402
 from repro.data.regions import Region, RegionSpec  # noqa: E402
 from repro.fleet import FleetDetector, FleetSimSource  # noqa: E402
+from repro.fleet.fallout import (  # noqa: E402
+    close_regions,
+    cluster_windows_batch,
+)
 from repro.fleet.scheduler import FleetScheduler  # noqa: E402
 from repro.stream.detector import StreamingDetector  # noqa: E402
 
@@ -81,7 +84,7 @@ SCALES = {
         anomaly_fraction=0.02,
         amortized_us_floor=2000.0,
         verdict_p99_ms_floor=500.0,
-        storm=dict(streams=48, rounds=60, passes=2, speedup_floor=2.0),
+        storm=dict(streams=48, rounds=60, passes=2),
         diagnosis=dict(
             jobs=48, attrs=8, rows=60, trials=3, scaling_floor=1.5
         ),
@@ -97,7 +100,7 @@ SCALES = {
         anomaly_fraction=0.002,
         amortized_us_floor=100.0,  # the tentpole acceptance number
         verdict_p99_ms_floor=None,  # recorded, not asserted
-        storm=dict(streams=384, rounds=120, passes=3, speedup_floor=4.0),
+        storm=dict(streams=384, rounds=120, passes=3),
         diagnosis=dict(
             jobs=96, attrs=16, rows=100, trials=5, scaling_floor=3.0
         ),
@@ -155,21 +158,20 @@ def _assert_stream_equal(tick, mirror_tick, stream: int) -> None:
     )
 
 
-def _assert_fleet_ticks_match(a, b) -> None:
-    """Batched and serial fallout ticks must be *equal*, not close."""
-    assert np.array_equal(a.selected, b.selected), "selection diverges"
-    assert np.array_equal(a.powers, b.powers), "powers diverge"
-    assert np.array_equal(a.reclustered, b.reclustered), (
-        "recluster sets diverge"
-    )
-    assert sorted(a.results) == sorted(b.results), "fallout sets diverge"
-    for s in a.results:
-        ra, rb = a.result(s), b.result(s)
-        assert ra.selected_attributes == rb.selected_attributes
-        assert np.array_equal(ra.mask, rb.mask), f"stream {s}: mask"
-        assert ra.regions == rb.regions, f"stream {s}: regions"
-        assert ra.eps == rb.eps, f"stream {s}: eps"
-    assert a.closed == b.closed, "closed regions diverge"
+def _assert_fallout_is_one_lane_calls(det, tick, emitted_before) -> None:
+    """Every fallout lane of a fused tick must *equal* one-lane calls."""
+    for s, res in tick.results.items():
+        view = det.arena.view(s)
+        names = list(res.selected_attributes)
+        (ref,) = cluster_windows_batch(det.batch, [view], [names])
+        assert np.array_equal(res.mask, ref.mask), f"stream {s}: mask"
+        assert res.regions == ref.regions, f"stream {s}: regions"
+        assert res.eps == ref.eps, f"stream {s}: eps"
+        closed, _ = close_regions(
+            ref.regions, view.timestamps, det.batch.gap_fill_s,
+            emitted_before[s],
+        )
+        assert tick.closed.get(s, []) == closed, f"stream {s}: closed"
 
 
 def run_bench(
@@ -272,7 +274,7 @@ def run_bench(
 
 
 def run_storm(scale: str, storm_fraction: float = 1.0) -> dict:
-    """Batched vs serial fallout clustering over identical storm rounds."""
+    """Fused fallout clustering over identical storm rounds."""
     params = SCALES[scale]["storm"]
     S = params["streams"]
     attrs = [f"m{j}" for j in range(8)]
@@ -287,60 +289,39 @@ def run_storm(scale: str, storm_fraction: float = 1.0) -> dict:
     )
     rounds = list(src.take(params["rounds"]))
 
-    batched_ticks = None
-    serial_ticks = None
+    tick_s = None
     fallout = served = 0
-    for _ in range(params["passes"]):
-        batched = FleetDetector(S, attrs, batch_fallout=True, **STORM_KW)
-        serial = FleetDetector(S, attrs, batch_fallout=False, **STORM_KW)
-        tb, ts = [], []
+    for p in range(params["passes"]):
+        fleet = FleetDetector(S, attrs, **STORM_KW)
+        elapsed = []
         fallout = served = 0
         for times, values, active in rounds:
+            emitted_before = list(fleet._emitted)
             t0 = time.perf_counter()
-            a = batched.tick(times, values, active)
-            t1 = time.perf_counter()
-            b = serial.tick(times, values, active)
-            t2 = time.perf_counter()
-            tb.append(t1 - t0)
-            ts.append(t2 - t1)
-            _assert_fleet_ticks_match(a, b)  # outside the timed sections
-            fallout += len(a.results)
+            tick = fleet.tick(times, values, active)
+            elapsed.append(time.perf_counter() - t0)
+            if p == 0:  # outside the timed section
+                _assert_fallout_is_one_lane_calls(fleet, tick, emitted_before)
+            fallout += len(tick.results)
             served += int(active.sum())
-        for s in range(S):
-            assert batched.stream_checkpoint(s) == serial.stream_checkpoint(
-                s
-            ), f"stream {s}: checkpoint diverges"
         # identical rounds → tick i does identical work every pass, so the
         # elementwise minimum strips scheduler noise, nothing else
-        tb, ts = np.asarray(tb), np.asarray(ts)
-        batched_ticks = (
-            tb if batched_ticks is None else np.minimum(batched_ticks, tb)
-        )
-        serial_ticks = (
-            ts if serial_ticks is None else np.minimum(serial_ticks, ts)
-        )
+        elapsed = np.asarray(elapsed)
+        tick_s = elapsed if tick_s is None else np.minimum(tick_s, elapsed)
 
     warm = slice(_WARMUP_TICKS, None)
-    p99_batched = float(np.percentile(batched_ticks[warm], 99)) * 1e3
-    p99_serial = float(np.percentile(serial_ticks[warm], 99)) * 1e3
     return {
         "streams": S,
         "rounds": params["rounds"],
         "passes": params["passes"],
         "storm_fraction": storm_fraction,
         "fallout_fraction": round(fallout / served, 3),
-        "fleet_tick_p99_ms": {
-            "batched": round(p99_batched, 3),
-            "serial": round(p99_serial, 3),
-        },
-        "fleet_tick_mean_ms": {
-            "batched": round(float(batched_ticks[warm].mean()) * 1e3, 3),
-            "serial": round(float(serial_ticks[warm].mean()) * 1e3, 3),
-        },
-        "p99_speedup": round(p99_serial / p99_batched, 2),
-        "speedup_floor": params["speedup_floor"],
-        # _assert_fleet_ticks_match / checkpoints would have raised
-        "bitwise_equal_to_serial": True,
+        "fleet_tick_p99_ms": round(
+            float(np.percentile(tick_s[warm], 99)) * 1e3, 3
+        ),
+        "fleet_tick_mean_ms": round(float(tick_s[warm].mean()) * 1e3, 3),
+        # _assert_fallout_is_one_lane_calls would have raised
+        "bitwise_equal_to_one_lane_calls": True,
     }
 
 
@@ -466,11 +447,9 @@ def _report(summary: dict) -> None:
     print(
         f"storm ({storm['streams']} streams, "
         f"fallout {storm['fallout_fraction']:.0%}): "
-        f"tick p99 batched {storm['fleet_tick_p99_ms']['batched']:.2f}ms "
-        f"vs serial {storm['fleet_tick_p99_ms']['serial']:.2f}ms "
-        f"-> {storm['p99_speedup']:.2f}x "
-        f"(floor {storm['speedup_floor']}x, bitwise equal: "
-        f"{storm['bitwise_equal_to_serial']})"
+        f"tick p99 {storm['fleet_tick_p99_ms']:.2f}ms, "
+        f"mean {storm['fleet_tick_mean_ms']:.2f}ms (bitwise equal to "
+        f"one-lane calls: {storm['bitwise_equal_to_one_lane_calls']})"
     )
     diag = summary["diagnosis_scaling"]
     print(
@@ -498,15 +477,11 @@ def _check(summary: dict) -> None:
             f"exceeds the {p99_floor}ms floor"
         )
     storm = summary["storm"]
-    assert storm["bitwise_equal_to_serial"]
+    assert storm["bitwise_equal_to_one_lane_calls"]
     if storm["storm_fraction"] >= 0.5:
         assert storm["fallout_fraction"] >= 0.5, (
             f"storm produced only {storm['fallout_fraction']:.0%} fallout; "
-            "the speedup claim needs a majority-fallout tick"
-        )
-        assert storm["p99_speedup"] >= storm["speedup_floor"], (
-            f"storm tick p99 speedup {storm['p99_speedup']}x below the "
-            f"{storm['speedup_floor']}x floor"
+            "the storm leg needs a majority-fallout tick"
         )
     diag = summary["diagnosis_scaling"]
     assert diag["throughput_ratio"] >= diag["scaling_floor"], (
@@ -535,7 +510,7 @@ if __name__ == "__main__":
         type=float,
         default=1.0,
         help="fraction of tenants degrading at once in the storm leg "
-        "(the speedup floor is only asserted at >= 0.5)",
+        "(a majority-fallout storm is only asserted at >= 0.5)",
     )
     cli = parser.parse_args()
     bench_summary = run_bench(cli.scale, storm_fraction=cli.storm_fraction)

@@ -9,7 +9,7 @@ steady state (full):
   scratch on a window snapshot: the true "re-run the batch detector
   every tick" baseline (Python-loop Equation 4, dense O(n²) DBSCAN);
 * **batch_vectorized** — the live :class:`AnomalyDetector` re-run per
-  tick (vectorized Equation 4, grid-indexed DBSCAN) on the same snapshot;
+  tick (vectorized Equation 4, batched DBSCAN) on the same snapshot;
 * **stream_exact** — :class:`StreamingDetector` (a one-lane fleet):
   potential power kept per row, full re-cluster per tick.
 

@@ -1,5 +1,5 @@
 """Clustering substrate: a from-scratch DBSCAN used by anomaly detection."""
 
-from repro.cluster.dbscan import DBSCAN, NOISE, k_distances
+from repro.cluster.dbscan import DBSCAN, NOISE, dbscan_labels_stacks
 
-__all__ = ["DBSCAN", "NOISE", "k_distances"]
+__all__ = ["DBSCAN", "NOISE", "dbscan_labels_stacks"]

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.dbscan import DBSCAN, NOISE
+from repro.cluster.dbscan import NOISE, dbscan_labels_stacks
 from repro.core.separation import normalize_values
 from repro.data.dataset import Dataset
 from repro.data.regions import Region, RegionSpec
@@ -136,16 +136,14 @@ def smooth_masks_batch(
     gap_fill_s: float,
     min_region_s: float,
 ) -> np.ndarray:
-    """:meth:`AnomalyDetector._smooth_mask` for many lanes at once.
+    """Temporal smoothing of flagged rows, for many lanes at once.
 
-    *masks* and *timestamps* are ``(n_lanes, n_rows)``; timestamps must
-    be strictly increasing per lane (callers fall back to the serial
-    path otherwise), so a region's member rows are exactly its index
-    span.  Each pass snapshots its run boundaries before mutating, the
-    same order of operations as the serial loops, and every float
-    comparison is the identical ``duration + 1.0 <= threshold``
-    expression — lane ``i`` of the result is bitwise-identical to the
-    serial smoothing of ``masks[i]``.
+    Bridges unflagged interior gaps with ``duration + 1.0 <=
+    gap_fill_s``, then drops flagged runs with ``duration + 1.0 <=
+    min_region_s``.  *masks* and *timestamps* are ``(n_lanes, n_rows)``;
+    timestamps must be strictly increasing per lane, so a region's
+    member rows are exactly its index span.  Each pass snapshots its run
+    boundaries before mutating.
     """
     masks = np.asarray(masks, dtype=bool).copy()
     n_lanes, n = masks.shape
@@ -277,44 +275,55 @@ class AnomalyDetector:
     ) -> DetectionResult:
         """Cluster the normalized attribute matrix and build the result.
 
-        Shared verbatim by streaming detection
-        (:func:`repro.fleet.fallout.cluster_window`), which swaps only the
-        attribute-selection stage for its running Equation 4 statistics —
-        everything downstream of selection runs through this single code
-        path, so batch and streaming results can only diverge at
+        A one-lane call of the kernels the fleet's fallout runs for many
+        streams at once (:func:`repro.fleet.fallout.cluster_windows_batch`),
+        so batch and streaming results can only diverge at attribute
         selection.
         """
-        n = matrix.shape[0]
-        clusterer = DBSCAN(eps=None, min_pts=self.min_pts)
-        labels = clusterer.fit_predict(matrix)
-        sizes = clusterer.cluster_sizes()
-        threshold = self.cluster_fraction * n
-        abnormal_clusters = {cid for cid, size in sizes.items() if size < threshold}
-        mask = np.isin(labels, sorted(abnormal_clusters))
+        labels, eps = dbscan_labels_stacks([matrix[None]], self.min_pts)
+        ts = np.asarray(timestamps, dtype=np.float64)[None]
+        return self._results_from_labels(labels, eps, ts, [selected])[0]
+
+    def _results_from_labels(
+        self,
+        labels: np.ndarray,
+        eps: np.ndarray,
+        timestamps: np.ndarray,
+        selections: Sequence[Sequence[str]],
+    ) -> List[DetectionResult]:
+        """Step (iv) and the temporal smoothing for lanes of one row count.
+
+        *labels* and *timestamps* are ``(n_lanes, n_rows)``, timestamps
+        strictly increasing per lane.  Cluster sizes come from one offset
+        bincount (stride ``n + 1``: a lane has at most ``n`` clusters, ids
+        ``0..n-1``), so each lane's clusters are sized on its own rows.
+        """
+        n_lanes, n = labels.shape
+        clustered = labels != NOISE
+        lane_idx, row_idx = np.nonzero(clustered)
+        counts = np.bincount(
+            lane_idx * (n + 1) + labels[lane_idx, row_idx],
+            minlength=n_lanes * (n + 1),
+        ).reshape(n_lanes, n + 1)
+        size_of = np.take_along_axis(counts, np.maximum(labels, 0), axis=1)
+        mask = clustered & (size_of < self.cluster_fraction * n)
         if self.include_noise:
             mask |= labels == NOISE
-        mask = self._smooth_mask(mask, timestamps)
-        return DetectionResult(
-            mask=mask,
-            regions=mask_to_regions(timestamps, mask),
-            selected_attributes=selected,
-            eps=float(clusterer.eps_ or 0.0),
+        smoothed = smooth_masks_batch(
+            mask, timestamps, self.gap_fill_s, self.min_region_s
         )
-
-    def _smooth_mask(
-        self, mask: np.ndarray, timestamps: np.ndarray
-    ) -> np.ndarray:
-        """Bridge short unflagged gaps, then drop sub-threshold slivers."""
-        smoothed = mask.copy()
-        # pass 1: bridge short interior gaps inside a flagged window
-        for gap in mask_to_regions(timestamps, ~smoothed):
-            is_interior = (
-                gap.start > timestamps[0] and gap.end < timestamps[-1]
+        regions: List[List[Region]] = [[] for _ in range(n_lanes)]
+        lanes, starts, ends = mask_runs_batch(smoothed)
+        for g, s, e in zip(lanes.tolist(), starts.tolist(), ends.tolist()):
+            regions[g].append(
+                Region(float(timestamps[g, s]), float(timestamps[g, e]))
             )
-            if is_interior and gap.duration + 1.0 <= self.gap_fill_s:
-                smoothed[gap.contains(timestamps)] = True
-        # pass 2: drop flagged runs too short to be a sustained anomaly
-        for run in mask_to_regions(timestamps, smoothed):
-            if run.duration + 1.0 <= self.min_region_s:
-                smoothed[run.contains(timestamps)] = False
-        return smoothed
+        return [
+            DetectionResult(
+                mask=smoothed[g].copy(),
+                regions=regions[g],
+                selected_attributes=list(selections[g]),
+                eps=float(eps[g]),
+            )
+            for g in range(n_lanes)
+        ]

@@ -26,6 +26,7 @@ from repro.core.anomaly import (
     AnomalyDetector,
     DetectionResult,
     mask_to_regions,
+    smooth_masks_batch,
 )
 from repro.core.separation import normalize_values
 from repro.data.dataset import Dataset
@@ -47,15 +48,19 @@ class BaseDetector:
         min_region_s: float = 5.0,
         gap_fill_s: float = 3.0,
     ) -> None:
-        # reuse the Section 7 temporal smoothing via a helper instance
-        self._smoother = AnomalyDetector(
-            min_region_s=min_region_s, gap_fill_s=gap_fill_s
-        )
+        self.min_region_s = min_region_s
+        self.gap_fill_s = gap_fill_s
 
     def detect(self, dataset: Dataset) -> DetectionResult:
         """Run the strategy; subclasses implement :meth:`_score_mask`."""
         mask, selected, eps = self._score_mask(dataset)
-        mask = self._smoother._smooth_mask(mask, dataset.timestamps)
+        # the Section 7 temporal smoothing, as a one-lane call
+        mask = smooth_masks_batch(
+            mask[None],
+            dataset.timestamps[None],
+            self.gap_fill_s,
+            self.min_region_s,
+        )[0]
         return DetectionResult(
             mask=mask,
             regions=mask_to_regions(dataset.timestamps, mask),

@@ -28,8 +28,8 @@ whole-fleet pass runs along rows as long as the fleet.
 :class:`ArenaWindow` adapts one stream's rows to a telemetry-window
 read interface (``timestamps`` / ``column`` / ``matrix`` / ``bounds`` /
 ``to_dataset``), which is what the clustering
-(:func:`repro.fleet.fallout.cluster_window`) and diagnosis code read;
-every read is an oldest-first copy gathered from the bank.
+(:func:`repro.fleet.fallout.cluster_windows_batch`) and diagnosis code
+read; every read is an oldest-first copy gathered from the bank.
 """
 
 from __future__ import annotations
@@ -117,23 +117,37 @@ class FleetArena:
     ) -> None:
         """Append one sanitized row per active stream, fleet-wide.
 
-        *times* is ``(streams,)``, *values* ``(streams, attrs)`` finite
-        float64, *active* a bool mask of streams receiving a row this
-        tick.  Inactive streams are untouched.
+        *times* is ``(streams,)``, *values* ``(streams, attrs)`` float64,
+        *active* a bool mask of streams receiving a row this tick.
+        Inactive streams are untouched.
 
-        Values are not checked: the window and the order statistics
-        share one store, so a non-finite value is read back as it was
-        written but misorders its lanes' ranks — their medians, bounds
-        and powers stay wrong until every value that arrived while it
-        was retained has left.  :meth:`FleetDetector.ingest
-        <repro.fleet.engine.FleetDetector.ingest>` repairs such cells
-        before they get here.
+        Raises :class:`ValueError`, before anything is written, when an
+        active stream's row holds a non-finite value or its timestamp
+        does not advance past the stream's newest retained row: the
+        window and the order statistics share one store, so a NaN would
+        misorder its lanes' ranks for as long as any value that arrived
+        beside it is retained, and the clustering needs strictly
+        increasing timestamps.  :meth:`FleetDetector.ingest
+        <repro.fleet.engine.FleetDetector.ingest>` repairs and drops
+        such rows before they get here.
         """
         A = len(self.attributes)
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
         active = np.asarray(active, dtype=bool)
         slot = self.appended % self.capacity
+
+        newest = self._ts[np.arange(len(slot)), (slot - 1) % self.capacity]
+        stale = active & ~(times > np.where(self.sizes > 0, newest, -np.inf))
+        if stale.any():
+            s = int(np.flatnonzero(stale)[0])
+            raise ValueError(
+                f"stream {s}: timestamp {times[s]!r} does not advance"
+            )
+        broken = active & ~np.isfinite(values).all(axis=1)
+        if broken.any():
+            s = int(np.flatnonzero(broken)[0])
+            raise ValueError(f"stream {s}: row has a non-finite value")
 
         rows = np.nonzero(active)[0]
         self._ts[rows, slot[rows]] = times[rows]

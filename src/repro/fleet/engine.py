@@ -8,16 +8,11 @@ quarantine, the running Equation 4 potential power, bounds, attribute
 selection — runs as a handful of dense numpy calls over the whole fleet
 (:class:`~repro.fleet.arena.FleetArena`).  Only the *fallout* — DBSCAN
 re-clustering, region closing — is peeled off, and only for streams
-whose selected-attribute set is non-empty this tick.  With
-``batch_fallout=True`` (the default) the whole fallout set runs through
-the batched storm kernels
+whose selected-attribute set is non-empty this tick: the whole fallout
+set runs through the batched kernels
 (:func:`~repro.fleet.fallout.cluster_windows_batch`,
-:func:`~repro.fleet.fallout.close_regions_batch`) — bitwise-equal to,
-and asserted against, the serial per-stream path
-(:func:`~repro.fleet.fallout.cluster_window`,
-:func:`~repro.fleet.fallout.close_regions`,
-``AnomalyDetector._cluster_and_mask``), which ``batch_fallout=False``
-still runs verbatim.
+:func:`~repro.fleet.fallout.close_regions_batch`), of which the batch
+detector's ``AnomalyDetector._cluster_and_mask`` is a one-lane call.
 
 Each lane's verdicts, masks, regions, ε, quarantine sets and counters
 are asserted against independent references: the batch
@@ -29,13 +24,13 @@ checkpoint schema, so per-tenant recovery
 
 **Lane bulkheads.**  The fallout stage is the only per-stream Python in
 the tick, and therefore the only place one tenant's pathological window
-can raise.  Both fallout paths wrap each lane in a bulkhead: an
-exception poisons *that lane only* — its last-good checkpoint is frozen
-(the ingest stages had already completed consistently), the lane stops
-ingesting and emits abstaining (empty) verdicts, and every other lane's
-outputs remain bitwise-identical to a fault-free run, because all
-shared stages are elementwise and the batched fallout kernels fall back
-to the bitwise-equal serial loop when a fused call fails.
+can raise.  When a fused fallout call raises, each lane reruns alone
+behind its own bulkhead: an exception poisons *that lane only* — its
+last-good checkpoint is frozen (the ingest stages had already completed
+consistently), the lane stops ingesting and emits abstaining (empty)
+verdicts, and every other lane's outputs remain bitwise-identical to a
+fault-free run, because all shared stages are elementwise and a lane's
+fallout result does not depend on its batch-mates.
 :meth:`FleetDetector.unpoison` readmits a lane from its retained state;
 durable tenants keep WAL'ing offered rows meanwhile, so nothing is lost
 across the outage.
@@ -53,12 +48,7 @@ import numpy as np
 from repro.core.anomaly import AnomalyDetector, DetectionResult
 from repro.data.regions import Region
 from repro.fleet.arena import FleetArena
-from repro.fleet.fallout import (
-    close_regions,
-    close_regions_batch,
-    cluster_window,
-    cluster_windows_batch,
-)
+from repro.fleet.fallout import close_regions_batch, cluster_windows_batch
 from repro.obs import metrics
 from repro.obs import trace
 
@@ -224,7 +214,6 @@ class FleetDetector:
         tracked: Optional[Sequence[str]] = None,
         quarantine_after: Optional[int] = None,
         quarantine_rel_epsilon: Optional[float] = None,
-        batch_fallout: bool = True,
     ) -> None:
         self.batch = AnomalyDetector(
             window=window,
@@ -237,10 +226,6 @@ class FleetDetector:
         )
         self.arena = FleetArena(n_streams, attributes, capacity, window)
         self.capacity = int(capacity)
-        # Storm path: batch all fallout streams' re-clustering into the
-        # grouped numpy kernels.  Runtime-only — deliberately absent from
-        # _params() so checkpoints stay byte-identical either way.
-        self.batch_fallout = bool(batch_fallout)
         self._attr_filter = list(tracked) if tracked is not None else None
         self._tracked = (
             [a for a in self._attr_filter if a in self.arena._attr_index]
@@ -414,7 +399,7 @@ class FleetDetector:
         verdict_latency[present] = _time.perf_counter() - t0
         lane_errors: Dict[int, str] = {}
         fallout_t0 = _time.perf_counter()
-        if self.batch_fallout and fallout.size:
+        if fallout.size:
             streams = [int(s) for s in fallout]
             if self._lane_fault is not None:
                 # evaluate the fault hook per lane up front so a raising
@@ -428,61 +413,17 @@ class FleetDetector:
                     else:
                         surviving.append(s)
                 streams = surviving
-            if streams:
-                try:
-                    views = [self.arena.view(s) for s in streams]
-                    selections = [
-                        self._lane_attrs(s, selected) for s in streams
-                    ]
-                    batch_results = cluster_windows_batch(
-                        self.batch, views, selections
-                    )
-                    closed_lists, emitted_out = close_regions_batch(
-                        [res.regions for res in batch_results],
-                        views,
-                        self.batch.gap_fill_s,
-                        [self._emitted[s] for s in streams],
-                    )
-                except Exception:
-                    # one pathological lane sank the fused kernels: fall
-                    # back to the bitwise-equal serial loop, whose
-                    # per-lane bulkhead quarantines only the offender
-                    # (the hook already ran above, so it is skipped).
-                    n_closed += self._fallout_serial(
-                        streams,
-                        selected,
-                        results,
-                        closed,
-                        reclustered,
-                        verdict_latency,
-                        t0,
-                        lane_errors,
-                        run_hook=False,
-                    )
-                else:
-                    idx = np.asarray(streams, dtype=np.intp)
-                    self.recluster_counts[idx] += 1
-                    reclustered[idx] = True
-                    for s, res, regions, emitted in zip(
-                        streams, batch_results, closed_lists, emitted_out
-                    ):
-                        results[s] = res
-                        self._emitted[s] = emitted
-                        if regions:
-                            closed[s] = regions
-                            n_closed += len(regions)
-                    verdict_latency[idx] = _time.perf_counter() - t0
-        else:
-            n_closed += self._fallout_serial(
-                [int(s) for s in fallout],
-                selected,
-                results,
-                closed,
-                reclustered,
-                verdict_latency,
-                t0,
-                lane_errors,
-            )
+            out = (selected, results, closed, reclustered, verdict_latency, t0)
+            try:
+                n_closed += self._fallout(streams, *out)
+            except Exception:
+                # one pathological lane sank the fused call: rerun each
+                # lane alone, so only the offender is quarantined
+                for s in streams:
+                    try:
+                        n_closed += self._fallout([s], *out)
+                    except Exception as exc:
+                        lane_errors[s] = self._contain(s, exc)
         fallout_ms = (_time.perf_counter() - fallout_t0) * 1000.0
 
         elapsed = _time.perf_counter() - t0
@@ -607,12 +548,14 @@ class FleetDetector:
         names = self._lane_attrs(s, self._select()[1]) if n_rows else []
         if not names:
             return _empty_result(n_rows)
-        result = cluster_window(self.batch, self.arena.view(s), names)
+        result = cluster_windows_batch(
+            self.batch, [self.arena.view(s)], [names]
+        )[0]
         self.recluster_counts[s] += 1
         _FLEET_RECLUSTERS.inc()
         return result
 
-    def _fallout_serial(
+    def _fallout(
         self,
         streams: Sequence[int],
         selected: np.ndarray,
@@ -621,44 +564,38 @@ class FleetDetector:
         reclustered: np.ndarray,
         verdict_latency: np.ndarray,
         t0: float,
-        lane_errors: Dict[int, str],
-        run_hook: bool = True,
     ) -> int:
-        """The per-lane fallout loop, each lane behind its own bulkhead.
+        """Re-cluster *streams* and close their regions in one fused call.
 
-        An exception anywhere in a lane's re-cluster or region-closing
-        poisons that lane and moves on; the lane's state is untouched
-        (``cluster_window`` and ``close_regions`` are pure with respect
-        to the detector), so the frozen checkpoint is its exact
-        last-good state.  Returns the number of regions closed.
+        Nothing is written until both kernels have returned, so a call
+        that raises leaves every lane's state untouched.  Returns the
+        number of regions closed.
         """
+        if not streams:
+            return 0
+        views = [self.arena.view(s) for s in streams]
+        lane_results = cluster_windows_batch(
+            self.batch, views, [self._lane_attrs(s, selected) for s in streams]
+        )
+        closed_lists, emitted_out = close_regions_batch(
+            [res.regions for res in lane_results],
+            views,
+            self.batch.gap_fill_s,
+            [self._emitted[s] for s in streams],
+        )
         n_closed = 0
-        for s in streams:
-            s = int(s)
-            try:
-                view = self.arena.view(s)
-                if run_hook and self._lane_fault is not None:
-                    self._lane_fault(s, view)
-                res = cluster_window(
-                    self.batch, view, self._lane_attrs(s, selected)
-                )
-                regions, emitted = close_regions(
-                    res.regions,
-                    view.timestamps,
-                    self.batch.gap_fill_s,
-                    self._emitted[s],
-                )
-            except Exception as exc:
-                lane_errors[s] = self._contain(s, exc)
-                continue
-            self.recluster_counts[s] += 1
-            reclustered[s] = True
+        idx = np.asarray(streams, dtype=np.intp)
+        self.recluster_counts[idx] += 1
+        reclustered[idx] = True
+        for s, res, regions, emitted in zip(
+            streams, lane_results, closed_lists, emitted_out
+        ):
             results[s] = res
             self._emitted[s] = emitted
             if regions:
                 closed[s] = regions
                 n_closed += len(regions)
-            verdict_latency[s] = _time.perf_counter() - t0
+        verdict_latency[idx] = _time.perf_counter() - t0
         return n_closed
 
     # ------------------------------------------------------------------

@@ -3,10 +3,9 @@
 Only streams with a non-empty selected-attribute set leave the fleet's
 dense path (:mod:`repro.fleet.engine`); for them these functions run the
 Section 7 DBSCAN re-cluster and close the regions that can no longer
-grow.  :func:`cluster_window` and :func:`close_regions` are the serial
-per-stream path; :func:`cluster_windows_batch` and
-:func:`close_regions_batch` are the storm path, bitwise-equal to calling
-the serial functions stream by stream.
+grow.  :func:`cluster_windows_batch` clusters any number of streams in
+numpy passes — one stream is a one-lane call — and
+:func:`close_regions_batch` closes their regions.
 """
 
 from __future__ import annotations
@@ -16,34 +15,15 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.anomaly import AnomalyDetector, DetectionResult, impute_missing
-from repro.core.separation import normalize_values
+from repro.cluster.dbscan import dbscan_labels_stacks
+from repro.core.anomaly import AnomalyDetector, DetectionResult
 from repro.data.regions import Region
 
 __all__ = [
     "close_regions",
     "close_regions_batch",
-    "cluster_window",
     "cluster_windows_batch",
 ]
-
-
-def cluster_window(
-    batch: AnomalyDetector, window, selected: Sequence[str]
-) -> DetectionResult:
-    """Normalize *selected* columns of *window* and cluster them.
-
-    *window* only needs ``column(attr)`` and ``timestamps`` (an arena
-    view or a :class:`~repro.data.dataset.Dataset`); the clustering is
-    ``AnomalyDetector._cluster_and_mask``, the batch detector's own code
-    path, which is what makes streaming and batch outputs
-    bitwise-comparable.  NaN cells are imputed first, as
-    ``AnomalyDetector.detect`` does.
-    """
-    matrix = impute_missing(
-        np.column_stack([normalize_values(window.column(a)) for a in selected])
-    )
-    return batch._cluster_and_mask(matrix, window.timestamps, list(selected))
 
 
 def cluster_windows_batch(
@@ -51,32 +31,30 @@ def cluster_windows_batch(
     windows: Sequence[object],
     selections: Sequence[Sequence[str]],
 ) -> List[DetectionResult]:
-    """:func:`cluster_window` for many fallout streams in numpy passes.
+    """Normalize each window's *selections* columns and cluster them.
 
-    The storm path.  Each window must also offer ``matrix(attrs)``, its
-    ``(rows, len(attrs))`` values in one gather, as
-    :class:`~repro.fleet.arena.ArenaWindow` does.  Streams are grouped
-    by row count only: one normalization pass covers every selected
-    column of the group (per-column min/max is order-independent, so
-    Equation 2 stays exact), and
+    Each window offers ``timestamps`` and ``matrix(attrs)``, its ``(rows,
+    len(attrs))`` values in one gather, as
+    :class:`~repro.fleet.arena.ArenaWindow` does; the arena holds only
+    finite values and strictly increasing timestamps
+    (:meth:`~repro.fleet.arena.FleetArena.append` rejects anything
+    else).  Streams are grouped by row count only: one normalization
+    pass covers every selected column of the group (per-column min/max
+    is order-independent, so Equation 2 stays exact), and
     :func:`repro.cluster.dbscan.dbscan_labels_stacks` builds distances
     per ``(rows, width)`` stack — no padding, which would change the
     floating-point accumulation trees — then labels all of the group's
-    lanes together.  The abnormal-cluster test (an offset bincount),
-    :func:`repro.core.anomaly.smooth_masks_batch` and the run
-    extraction also run once per row count.  Cluster labels are
-    partitioned per stream by construction (each lane has its own
-    distance matrix and ε), so clusters never bleed across tenants.
+    lanes together.  The abnormal-cluster test and the smoothing run
+    once per row count too
+    (:meth:`~repro.core.anomaly.AnomalyDetector._results_from_labels`).
+    Each lane has its own distance matrix and ε, so clusters never
+    bleed across tenants.
 
     Element ``i`` of the returned list is bitwise-identical to
-    ``cluster_window(batch, windows[i], selections[i])`` — the
-    batched-fallout equivalence tests assert it.  Streams
-    the batch kernels cannot express exactly (NaN cells, non-monotone
-    timestamps, empty windows) fall back to the serial function.
+    ``batch._cluster_and_mask`` on window ``i``'s normalized columns,
+    the call ``AnomalyDetector.detect`` makes — the fallout tests
+    assert it.  An empty window or selection gets the all-normal result.
     """
-    from repro.cluster.dbscan import NOISE, dbscan_labels_stacks
-    from repro.core.anomaly import mask_runs_batch, smooth_masks_batch
-
     count = len(windows)
     results: List[Optional[DetectionResult]] = [None] * count
     raws: List[Optional[np.ndarray]] = [None] * count
@@ -88,13 +66,14 @@ def cluster_windows_batch(
         ts = np.asarray(window.timestamps, dtype=np.float64)
         n = ts.shape[0]
         if n == 0 or not selected:
-            results[i] = cluster_window(batch, window, selected)
+            results[i] = DetectionResult(
+                mask=np.zeros(n, dtype=bool),
+                regions=[],
+                selected_attributes=selected,
+                eps=0.0,
+            )
             continue
-        raw = window.matrix(selected)
-        if bool(np.isnan(raw).any()) or not bool(np.all(np.diff(ts) > 0)):
-            results[i] = cluster_window(batch, window, selected)
-            continue
-        raws[i] = raw
+        raws[i] = window.matrix(selected)
         stamps[i] = ts
         by_rows.setdefault(n, []).append(i)
 
@@ -121,39 +100,14 @@ def cluster_windows_batch(
             )
             col += g * k
         labels, eps = dbscan_labels_stacks(stacks, batch.min_pts)
-
-        ts2 = np.stack([stamps[i] for i in members])  # (L, n)
-        n_lanes = len(members)
-        # cluster sizes per lane via one offset bincount (stride n + 1
-        # because a lane can have at most n clusters, ids 0..n-1)
-        clustered = labels != NOISE
-        lane_idx, row_idx = np.nonzero(clustered)
-        counts = np.bincount(
-            lane_idx * (n + 1) + labels[lane_idx, row_idx],
-            minlength=n_lanes * (n + 1),
-        ).reshape(n_lanes, n + 1)
-        threshold = batch.cluster_fraction * n
-        size_of = np.take_along_axis(counts, np.maximum(labels, 0), axis=1)
-        mask = clustered & (size_of < threshold)
-        if batch.include_noise:
-            mask |= labels == NOISE
-
-        smoothed = smooth_masks_batch(
-            mask, ts2, batch.gap_fill_s, batch.min_region_s
+        lane_results = batch._results_from_labels(
+            labels,
+            eps,
+            np.stack([stamps[i] for i in members]),
+            [selections[i] for i in members],
         )
-        regions_per: List[List[Region]] = [[] for _ in members]
-        lanes, starts, ends = mask_runs_batch(smoothed)
-        for g, s, e in zip(lanes.tolist(), starts.tolist(), ends.tolist()):
-            regions_per[g].append(
-                Region(float(ts2[g, s]), float(ts2[g, e]))
-            )
-        for g, i in enumerate(members):
-            results[i] = DetectionResult(
-                mask=smoothed[g].copy(),
-                regions=regions_per[g],
-                selected_attributes=list(selections[i]),
-                eps=float(eps[g]),
-            )
+        for i, result in zip(members, lane_results):
+            results[i] = result
     return results  # type: ignore[return-value]
 
 
@@ -198,8 +152,8 @@ def close_regions_batch(
 
     Streams with neither candidate regions nor retained dedup keys are
     recognized up front (in a storm most fallout streams close nothing
-    on most ticks) — for them the serial function would only rebuild an
-    empty set, so the short-circuit returns identical state without
+    on most ticks) — for them :func:`close_regions` would only rebuild
+    an empty set, so the short-circuit returns identical state without
     reading the window.  The rest read their window's ``timestamps``
     and run through :func:`close_regions` unchanged.
     """

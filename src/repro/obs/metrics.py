@@ -13,8 +13,8 @@ format) and :meth:`MetricsRegistry.to_json` / :meth:`snapshot` (plain
 dicts).  :class:`TimelineRing` samples the registry into a ``Dataset``.
 
 Single-stream instruments are label-free: distinct code paths get
-distinct metric names (``repro_dbscan_grid_fits_total`` vs
-``repro_dbscan_dense_fits_total``), which also keeps the
+distinct metric names (``repro_fleet_dropped_ticks_total`` vs
+``repro_fleet_sanitized_values_total``), which also keeps the
 timeline ``Dataset`` attribute list stable.  The fleet layer
 (:mod:`repro.fleet.scheduler`) is the one consumer that genuinely needs
 label cardinality — per-tenant lag/shed/verdict series — so

@@ -1,9 +1,16 @@
-"""Unit tests for the from-scratch DBSCAN implementation."""
+"""Unit tests for the from-scratch DBSCAN implementation.
+
+The batched kernel is checked against the reference DBSCAN in
+:mod:`tests.dbscan_oracle`, whose k-dist list is pinned by hand-worked
+geometry here too.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.cluster.dbscan import DBSCAN, NOISE, k_distances
+from repro.cluster.dbscan import DBSCAN, NOISE, dbscan_labels_stacks
+from tests.dbscan_oracle import dbscan as oracle_dbscan, k_distances
 
 
 def two_blobs(n=30, separation=10.0, seed=0):
@@ -14,6 +21,8 @@ def two_blobs(n=30, separation=10.0, seed=0):
 
 
 class TestKDistances:
+    """The reference's k-dist list, which the kernel's ε is held to."""
+
     def test_shape(self):
         pts = two_blobs()
         assert k_distances(pts, 3).shape == (60,)
@@ -56,8 +65,10 @@ class TestDBSCAN:
         assert labels[-1] == NOISE
 
     def test_auto_eps_heuristic(self):
+        from repro.stream.golden import golden_k_distances
+
         clusterer = DBSCAN(eps=None, min_pts=3).fit(two_blobs())
-        kd = k_distances(two_blobs(), 3)
+        kd = golden_k_distances(two_blobs(), 3)
         expected = max(float(kd.max()) / 4.0, float(np.quantile(kd, 0.95)))
         assert clusterer.eps_ == pytest.approx(expected)
 
@@ -145,53 +156,63 @@ class TestDBSCAN:
             assert set(labels[40:]) == {labels[40]}
 
 
-class TestGridIndex:
-    def random_points(self, n, d, seed):
+def _point_sets(rng, n, widths, levels, duplicates, constant):
+    """One ``(1, n, d)`` stack per width: a few blobs of points, on a
+    coarse grid when *levels* is set, with repeated rows and an optional
+    constant column."""
+    stacks = []
+    for d in widths:
+        if levels:
+            pts = rng.integers(0, levels, (n, d)).astype(float)
+        else:
+            centres = rng.normal(0.0, 4.0, (3, d))
+            pts = rng.normal(0.0, 1.0, (n, d)) + centres[rng.integers(0, 3, n)]
+        if constant:
+            pts[:, 0] = 0.5
+        if n and duplicates:
+            copies = rng.integers(0, n, (2, duplicates))
+            pts[copies[0]] = pts[copies[1]]
+        stacks.append(pts[None])
+    return stacks
+
+
+class TestKernelMatchesOracle:
+    """Every lane of the batched kernel, and the fixed-ε estimator, equal
+    the reference DBSCAN in labels and in the bytes of ε."""
+
+    SETS = dict(
+        n=st.integers(0, 200),
+        widths=st.lists(st.integers(1, 60), min_size=1, max_size=3),
+        min_pts=st.integers(1, 5),
+        levels=st.sampled_from([0, 2, 5]),
+        duplicates=st.integers(0, 30),
+        constant=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SETS)
+    def test_kernel_matches_oracle(
+        self, n, widths, min_pts, levels, duplicates, constant, seed
+    ):
         rng = np.random.default_rng(seed)
-        return np.vstack(
-            [
-                rng.normal(0.0, 0.5, size=(n // 2, d)),
-                rng.normal(3.0, 0.5, size=(n - n // 2, d)),
-            ]
-        )
+        stacks = _point_sets(rng, n, widths, levels, duplicates, constant)
+        labels, eps = dbscan_labels_stacks(stacks, min_pts)
+        assert labels.shape == (len(widths), n)
+        for i, stack in enumerate(stacks):
+            want_labels, want_eps = oracle_dbscan(stack[0], min_pts)
+            assert np.array_equal(labels[i], want_labels), i
+            assert eps[i].tobytes() == np.float64(want_eps).tobytes(), i
 
-    @pytest.mark.parametrize("d", [1, 2, 5])
-    def test_grid_matches_dense_labels(self, d):
-        for seed in range(5):
-            pts = self.random_points(120, d, seed)
-            grid = DBSCAN(eps=0.8, min_pts=3, index="grid").fit_predict(pts)
-            dense = DBSCAN(eps=0.8, min_pts=3, index="dense").fit_predict(pts)
-            assert np.array_equal(grid, dense)
-
-    def test_grid_matches_dense_with_auto_eps(self):
-        pts = self.random_points(150, 3, seed=42)
-        grid = DBSCAN(eps=None, min_pts=3, index="grid").fit(pts)
-        dense = DBSCAN(eps=None, min_pts=3, index="dense").fit(pts)
-        assert grid.eps_ == dense.eps_
-        assert np.array_equal(grid.labels_, dense.labels_)
-
-    def test_auto_uses_grid_above_crossover(self):
-        from repro.cluster.dbscan import _GRID_MIN_POINTS
-
-        small = self.random_points(_GRID_MIN_POINTS - 4, 2, seed=1)
-        large = self.random_points(_GRID_MIN_POINTS + 40, 2, seed=1)
-        for pts in (small, large):
-            auto = DBSCAN(eps=0.8, min_pts=3, index="auto").fit_predict(pts)
-            dense = DBSCAN(eps=0.8, min_pts=3, index="dense").fit_predict(pts)
-            assert np.array_equal(auto, dense)
-
-    def test_bad_index_rejected(self):
-        with pytest.raises(ValueError):
-            DBSCAN(index="kdtree")
-
-
-class TestChunkedKDistances:
-    def test_chunked_matches_unchunked(self):
-        from repro.stream.golden import golden_k_distances
-
-        pts = two_blobs(n=50, seed=6)
-        golden = golden_k_distances(pts, 3)
-        for chunk in (1, 7, 64, 10_000):
-            np.testing.assert_allclose(
-                k_distances(pts, 3, chunk_size=chunk), golden, atol=1e-9
-            )
+    @settings(max_examples=30, deadline=None)
+    @given(eps=st.floats(0.05, 6.0), **SETS)
+    def test_fixed_eps_matches_oracle(
+        self, eps, n, widths, min_pts, levels, duplicates, constant, seed
+    ):
+        rng = np.random.default_rng(seed)
+        stacks = _point_sets(rng, n, widths, levels, duplicates, constant)
+        for stack in stacks:
+            model = DBSCAN(eps=eps, min_pts=min_pts).fit(stack[0])
+            want_labels, _ = oracle_dbscan(stack[0], min_pts, eps=eps)
+            assert np.array_equal(model.labels_, want_labels)
+            assert model.eps_ == eps

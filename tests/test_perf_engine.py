@@ -803,7 +803,8 @@ class TestBatchKernelsBitwise:
             assert np.array_equal(batched[i], normalize_values(matrix[i])), i
 
     def test_dbscan_labels_batch_matches_serial(self):
-        from repro.cluster.dbscan import DBSCAN, dbscan_labels_batch
+        from repro.cluster.dbscan import dbscan_labels_batch
+        from tests.dbscan_oracle import dbscan as oracle_dbscan
 
         rng = np.random.default_rng(95)
         for n, d in ((6, 1), (20, 2), (40, 3)):
@@ -812,13 +813,14 @@ class TestBatchKernelsBitwise:
             pts[1] = pts[1, :1]  # degenerate: all points identical
             labels, eps = dbscan_labels_batch(pts, min_pts=3)
             for i in range(pts.shape[0]):
-                model = DBSCAN(eps=None, min_pts=3).fit(pts[i])
-                assert np.array_equal(labels[i], model.labels_), (n, d, i)
-                assert eps[i] == model.eps_, (n, d, i)
+                want_labels, want_eps = oracle_dbscan(pts[i], min_pts=3)
+                assert np.array_equal(labels[i], want_labels), (n, d, i)
+                assert eps[i] == want_eps, (n, d, i)
 
     def test_dbscan_labels_stacks_mixed_widths_match_serial(self, monkeypatch):
         import repro.cluster.dbscan as dbscan_mod
-        from repro.cluster.dbscan import DBSCAN, dbscan_labels_stacks
+        from repro.cluster.dbscan import dbscan_labels_stacks
+        from tests.dbscan_oracle import dbscan as oracle_dbscan
 
         rng = np.random.default_rng(96)
         n = 30
@@ -835,9 +837,9 @@ class TestBatchKernelsBitwise:
         lanes = [lane for stack in stacks for lane in stack]
         assert labels.shape == (len(lanes), n)
         for i, lane in enumerate(lanes):
-            model = DBSCAN(eps=None, min_pts=3).fit(lane)
-            assert np.array_equal(labels[i], model.labels_), i
-            assert eps[i] == model.eps_, i
+            want_labels, want_eps = oracle_dbscan(lane, min_pts=3)
+            assert np.array_equal(labels[i], want_labels), i
+            assert eps[i] == want_eps, i
         with pytest.raises(ValueError):
             dbscan_labels_stacks([stacks[0], stacks[0][:, :-1]])
 

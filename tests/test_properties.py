@@ -7,9 +7,10 @@ from repro.core.filtering import abnormal_blocks, fill_gaps, filter_partitions
 from repro.core.partition import Label, NumericPartitionSpace
 from repro.core.predicates import NumericPredicate
 from repro.core.separation import normalize_values, separation_power
-from repro.cluster.dbscan import DBSCAN, NOISE, k_distances
+from repro.cluster.dbscan import DBSCAN, NOISE
 from repro.data.dataset import Dataset
 from repro.data.regions import Region, RegionSpec
+from tests.dbscan_oracle import k_distances
 
 E, N, A = int(Label.EMPTY), int(Label.NORMAL), int(Label.ABNORMAL)
 
