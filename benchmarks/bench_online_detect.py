@@ -5,7 +5,7 @@ Feeds seeded scenario runs tick by tick and times three ways of answering
 steady state (full):
 
 * **batch_golden** — the frozen seed detector
-  (:class:`repro.stream.golden.GoldenAnomalyDetector`) re-run from
+  (``GoldenAnomalyDetector`` in ``tests/stream_oracle.py``) re-run from
   scratch on a window snapshot: the true "re-run the batch detector
   every tick" baseline (Python-loop Equation 4, dense O(n²) DBSCAN);
 * **batch_vectorized** — the live :class:`AnomalyDetector` re-run per
@@ -41,11 +41,13 @@ import numpy as np
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":  # allow `python benchmarks/bench_online_detect.py`
     sys.path.insert(0, str(_REPO_ROOT / "src"))
+if str(_REPO_ROOT) not in sys.path:  # the golden copies live under tests/
+    sys.path.append(str(_REPO_ROOT))
 
 from repro.core.anomaly import AnomalyDetector  # noqa: E402
 from repro.eval.harness import replay_rows, simulate_run  # noqa: E402
 from repro.stream import StreamingDetector  # noqa: E402
-from repro.stream.golden import GoldenAnomalyDetector  # noqa: E402
+from tests.stream_oracle import GoldenAnomalyDetector  # noqa: E402
 
 #: Bench scales; "tiny" is the CI smoke (seconds), "bench" the recorded
 #: run.  ``golden_stride`` subsamples the golden baseline — it is two

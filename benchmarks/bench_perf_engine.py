@@ -1,14 +1,16 @@
 """Perf-engine bench: old serial vs cached/batched diagnosis paths.
 
-Times the three generations of the model-ranking path (Equation 3) on a
+Times three ways of running the model-ranking path (Equation 3) on a
 Fig. 7-style protocol over a 4-class suite:
 
 * **golden** — the frozen seed implementation (per-predicate region-mask
-  recomputation, Python-loop midpoints, per-attribute labeling);
-* **uncached** — the live serial path after this PR's vectorizations
-  (hoisted masks, vectorized midpoints) but with no shared cache;
+  recomputation, Python-loop midpoints, per-attribute labeling), kept in
+  ``tests/generator_oracle.py``;
+* **per-call cache** — the live path called with no cache, so each
+  confidence score labels its attributes through a private
+  :class:`LabeledSpaceCache` that dies with the call;
 * **cached** — the live path with one :class:`LabeledSpaceCache` shared
-  across the whole ranking sweep, as the evaluation harness now runs it.
+  across the whole ranking sweep, as the evaluation harness runs it.
 
 Also times Algorithm 1 predicate generation golden (per-attribute loop)
 vs batched (stacked offset-bincount labeling).  Every timed pass is
@@ -33,13 +35,15 @@ from pathlib import Path
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":  # allow `python benchmarks/bench_perf_engine.py`
     sys.path.insert(0, str(_REPO_ROOT / "src"))
+if str(_REPO_ROOT) not in sys.path:  # the golden copies live under tests/
+    sys.path.append(str(_REPO_ROOT))
 
 from repro.anomalies.library import ANOMALY_CAUSES  # noqa: E402
 from repro.core.causal import CausalModel  # noqa: E402
 from repro.core.generator import GeneratorConfig, PredicateGenerator  # noqa: E402
 from repro.eval.harness import build_suite, rank_models  # noqa: E402
 from repro.perf.cache import LabeledSpaceCache  # noqa: E402
-from repro.perf.golden import (  # noqa: E402
+from tests.generator_oracle import (  # noqa: E402
     golden_generate_with_artifacts,
     golden_rank,
 )
@@ -142,7 +146,7 @@ def run_bench(scale: str = "bench", write_json: bool = True) -> dict:
         assert golden_preds == batched_preds, "generator paths diverge"
 
     # ------------------------------------------------------------------
-    # Equation 3 model ranking: golden vs uncached vs cached
+    # Equation 3 model ranking: golden vs per-call cache vs shared cache
     # ------------------------------------------------------------------
     # batched_arts is aligned with all_runs (suite iteration order)
     models_by_cause = {}
@@ -169,7 +173,7 @@ def run_bench(scale: str = "bench", write_json: bool = True) -> dict:
         repeats,
     )
 
-    def _uncached_pass():
+    def _per_call_cache_pass():
         results = []
         for competitors, run, _ in tasks:
             scored = [
@@ -180,7 +184,7 @@ def run_bench(scale: str = "bench", write_json: bool = True) -> dict:
             results.append(scored)
         return results
 
-    uncached_rank_s, uncached_scores = _timed(_uncached_pass, repeats)
+    per_call_rank_s, per_call_scores = _timed(_per_call_cache_pass, repeats)
 
     cache_stats = {}
 
@@ -195,7 +199,7 @@ def run_bench(scale: str = "bench", write_json: bool = True) -> dict:
 
     cached_rank_s, cached_scores = _timed(_cached_pass, repeats)
 
-    assert golden_scores == uncached_scores == cached_scores, (
+    assert golden_scores == per_call_scores == cached_scores, (
         "ranking paths diverge — the perf layer is NOT bitwise-identical"
     )
 
@@ -215,10 +219,10 @@ def run_bench(scale: str = "bench", write_json: bool = True) -> dict:
             "n_rankings": len(tasks),
             "models_per_ranking": len(suite),
             "golden_s": round(golden_rank_s, 3),
-            "uncached_s": round(uncached_rank_s, 3),
+            "per_call_cache_s": round(per_call_rank_s, 3),
             "cached_s": round(cached_rank_s, 3),
-            "speedup_cached_vs_uncached": round(
-                uncached_rank_s / cached_rank_s, 2
+            "speedup_cached_vs_per_call": round(
+                per_call_rank_s / cached_rank_s, 2
             ),
             "speedup_cached_vs_golden": round(
                 golden_rank_s / cached_rank_s, 2
@@ -250,11 +254,12 @@ def _report(summary: dict) -> None:
     print(
         f"model ranking ({ranking['n_rankings']} rankings x "
         f"{ranking['models_per_ranking']} models): "
-        f"golden {ranking['golden_s']}s, uncached {ranking['uncached_s']}s, "
+        f"golden {ranking['golden_s']}s, "
+        f"per-call cache {ranking['per_call_cache_s']}s, "
         f"cached {ranking['cached_s']}s"
     )
     print(
-        f"cached vs uncached: {ranking['speedup_cached_vs_uncached']}x | "
+        f"cached vs per-call: {ranking['speedup_cached_vs_per_call']}x | "
         f"cached vs golden: {ranking['speedup_cached_vs_golden']}x"
     )
     print(f"cache: {ranking['cache']}")
@@ -262,14 +267,14 @@ def _report(summary: dict) -> None:
 
 def _check(summary: dict) -> None:
     ranking = summary["ranking"]
-    # CI gate: the cached path must never lose to the uncached path.
-    assert ranking["cached_s"] <= ranking["uncached_s"], (
-        f"cached path slower than uncached "
-        f"({ranking['cached_s']}s > {ranking['uncached_s']}s)"
+    # CI gate: the shared cache must never lose to a per-call cache.
+    assert ranking["cached_s"] <= ranking["per_call_cache_s"], (
+        f"shared cache slower than a per-call cache "
+        f"({ranking['cached_s']}s > {ranking['per_call_cache_s']}s)"
     )
     if summary["scale"] == "bench":
-        assert ranking["speedup_cached_vs_uncached"] >= MIN_RANKING_SPEEDUP, (
-            f"ranking speedup {ranking['speedup_cached_vs_uncached']}x "
+        assert ranking["speedup_cached_vs_per_call"] >= MIN_RANKING_SPEEDUP, (
+            f"ranking speedup {ranking['speedup_cached_vs_per_call']}x "
             f"below the {MIN_RANKING_SPEEDUP}x acceptance floor"
         )
 

@@ -21,18 +21,11 @@ falls below a floor abstains instead of scoring garbage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.filtering import filter_partitions
-from repro.core.partition import (
-    CategoricalPartitionSpace,
-    Label,
-    NumericPartitionSpace,
-)
 from repro.core.predicates import (
-    CategoricalPredicate,
     Conjunction,
     InconsistentPredicates,
     NumericPredicate,
@@ -40,6 +33,11 @@ from repro.core.predicates import (
 )
 from repro.data.dataset import Dataset
 from repro.data.regions import RegionSpec
+from repro.perf.cache import (
+    LabeledAttribute,
+    LabeledSpaceCache,
+    build_region_partitions,
+)
 from repro.schema.fingerprint import AttributeFingerprint
 
 __all__ = ["CausalModel", "CausalModelStore", "model_confidence"]
@@ -48,64 +46,29 @@ DEFAULT_CONFIDENCE_PARTITIONS = 250
 
 
 def _predicate_on_partitions(
-    predicate: Predicate,
-    dataset: Dataset,
-    abnormal: np.ndarray,
-    normal: np.ndarray,
-    n_partitions: int,
-    apply_filtering: bool,
-    entry: Optional[object] = None,
-) -> Optional[float]:
+    predicate: Predicate, entry: LabeledAttribute, apply_filtering: bool
+) -> float:
     """Separation power of one predicate in the partition space (Eq. 3 term).
 
-    Region masks are computed once by the caller; *entry* optionally
-    supplies a cached labeled space (see
-    :class:`repro.perf.cache.LabeledSpaceCache`).  Returns ``None`` when
-    the attribute is missing or either region has no labeled partitions
-    (the predicate then contributes zero confidence).
+    *entry* is the attribute's labeled space from a
+    :class:`repro.perf.cache.LabeledSpaceCache`.  The predicate is
+    evaluated only on the representatives of the Abnormal and Normal
+    partitions: the satisfied counts (hence the ratios) equal masking a
+    full-space evaluation.  A predicate contributes zero when either
+    region has no labeled partitions.
     """
-    attr = predicate.attr
-    if attr not in dataset:
-        return None
-    if entry is not None:
-        # Fast path: evaluate only on the cached Abnormal/Normal partition
-        # representatives — the counts (hence the ratios) are identical to
-        # masking a full-space evaluation.
-        regions = entry.region_partitions(apply_filtering)
-        if regions is None:
-            return None
-        reps_abnormal, reps_normal, n_abnormal, n_normal = regions
-        ratio_abnormal = (
-            float(np.count_nonzero(predicate.evaluate_values(reps_abnormal)))
-            / n_abnormal
-        )
-        ratio_normal = (
-            float(np.count_nonzero(predicate.evaluate_values(reps_normal)))
-            / n_normal
-        )
-        return ratio_abnormal - ratio_normal
-    else:
-        values = dataset.column(attr)
-        if dataset.is_numeric(attr):
-            space = NumericPartitionSpace(attr, values, n_partitions)
-            labels = space.label(values, abnormal, normal)
-            if apply_filtering:
-                labels = filter_partitions(labels)
-            satisfied = predicate.evaluate_values(space.midpoints())
-        else:
-            space = CategoricalPartitionSpace(attr, values)
-            labels = space.label(values, abnormal, normal)
-            satisfied = predicate.evaluate_values(
-                np.asarray(space.categories, dtype=object)
-            )
-    abnormal_parts = labels == int(Label.ABNORMAL)
-    normal_parts = labels == int(Label.NORMAL)
-    n_abnormal = int(abnormal_parts.sum())
-    n_normal = int(normal_parts.sum())
-    if n_abnormal == 0 or n_normal == 0:
-        return None
-    ratio_abnormal = float((satisfied & abnormal_parts).sum()) / n_abnormal
-    ratio_normal = float((satisfied & normal_parts).sum()) / n_normal
+    regions = entry.region_partitions(apply_filtering)
+    if regions is None:
+        return 0.0
+    reps_abnormal, reps_normal, n_abnormal, n_normal = regions
+    ratio_abnormal = (
+        float(np.count_nonzero(predicate.evaluate_values(reps_abnormal)))
+        / n_abnormal
+    )
+    ratio_normal = (
+        float(np.count_nonzero(predicate.evaluate_values(reps_normal)))
+        / n_normal
+    )
     return ratio_abnormal - ratio_normal
 
 
@@ -119,36 +82,28 @@ def model_confidence(
 ) -> float:
     """Equation 3: mean partition-space separation power of *predicates*.
 
-    The region masks are computed once for the whole model (not per
-    predicate); passing a :class:`repro.perf.cache.LabeledSpaceCache`
-    additionally shares each attribute's labeled partition space across
-    predicates, models, and repeated rankings of the same anomaly.
+    Each attribute is labeled once through a
+    :class:`repro.perf.cache.LabeledSpaceCache`; passing one shares the
+    labeled spaces across models and repeated rankings of the same
+    anomaly, and without one the call uses a private cache.  A predicate
+    on an attribute *dataset* lacks contributes zero.
     """
     if not predicates:
         return 0.0
-    if cache is not None:
-        abnormal, normal = cache.masks(dataset, spec)
-    else:
-        abnormal = spec.abnormal_mask(dataset)
-        normal = spec.normal_mask(dataset)
-    entries: Dict[str, object] = {}
-    if cache is not None:
-        present = [p.attr for p in predicates if p.attr in dataset]
-        if present:
-            # one bulk fetch (single key prefix, batched hit counters)
-            # instead of a per-predicate entry() round-trip
-            from repro.perf.cache import build_region_partitions
-
-            entries = cache.entries(dataset, spec, present, n_partitions)
-            # the model's region views in one pass instead of one each
-            build_region_partitions(entries.values(), apply_filtering)
+    if cache is None:
+        cache = LabeledSpaceCache()
+    present = [p.attr for p in predicates if p.attr in dataset]
+    entries = (
+        cache.entries(dataset, spec, present, n_partitions) if present else {}
+    )
+    # the model's region views in one pass instead of one each
+    build_region_partitions(entries.values(), apply_filtering)
     total = 0.0
     for predicate in predicates:
-        power = _predicate_on_partitions(
-            predicate, dataset, abnormal, normal, n_partitions,
-            apply_filtering, entries.get(predicate.attr),
-        )
-        total += power if power is not None else 0.0
+        if predicate.attr in entries:
+            total += _predicate_on_partitions(
+                predicate, entries[predicate.attr], apply_filtering
+            )
     return total / len(predicates)
 
 
@@ -303,8 +258,6 @@ class CausalModelStore:
         (see :meth:`rank_reconciled` for the full report).
         """
         if cache is None:
-            from repro.perf.cache import LabeledSpaceCache
-
             cache = LabeledSpaceCache()
         if reconciler is not None:
             return self.rank_reconciled(
@@ -344,8 +297,6 @@ class CausalModelStore:
         from repro.schema.reconcile import rank_with_reconciliation
 
         if cache is None:
-            from repro.perf.cache import LabeledSpaceCache
-
             cache = LabeledSpaceCache()
         return rank_with_reconciliation(
             self._models.values(),

@@ -21,11 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.partition import (
-    CategoricalPartitionSpace,
-    Label,
-    NumericPartitionSpace,
-)
+from repro.core.partition import Label, NumericPartitionSpace
 from repro.core.predicates import (
     CategoricalPredicate,
     Conjunction,
@@ -40,8 +36,8 @@ from repro.core.filtering import (
     filter_partitions_batch,
 )
 from repro.obs import metrics, trace
-from repro.perf.batch import label_numeric_batch, normalized_means_batch
-from repro.perf.cache import LabeledAttribute
+from repro.perf.batch import normalized_means_batch
+from repro.perf.cache import LabeledAttribute, LabeledSpaceCache
 
 __all__ = ["GeneratorConfig", "AttributeArtifacts", "PredicateGenerator"]
 
@@ -134,11 +130,13 @@ class PredicateGenerator:
     :mod:`repro.core.filtering`'s filter and fill, the θ-gate means);
     Python only turns the rows into :class:`AttributeArtifacts` and
     predicates.  Every row is bitwise-equal to running the steps on that
-    attribute alone (``repro.perf.golden`` is the reference), so a job's
-    artifacts do not depend on the jobs batched with it.  An optional
-    :class:`repro.perf.cache.LabeledSpaceCache` shares the labeled
-    spaces, filtered labels, fills and means with confidence scoring and
-    with later explains of the same anomaly.
+    attribute alone (the frozen seed copy in ``tests/generator_oracle.py``
+    is the reference), so a job's artifacts do not depend on the jobs
+    batched with it.  Every attribute, numeric or categorical, is labeled
+    through a :class:`repro.perf.cache.LabeledSpaceCache`: the one given,
+    which shares the labeled spaces, filtered labels, fills and means
+    with confidence scoring and with later explains of the same anomaly,
+    or else a private one per call.
     """
 
     def __init__(
@@ -223,14 +221,13 @@ class PredicateGenerator:
         t0 = time.perf_counter()
         start = t0
         cache = self.cache
+        if cache is None:  # private: its entries die with the call
+            cache = LabeledSpaceCache()
         masks: List[Tuple[np.ndarray, np.ndarray]] = []
         names_of: List[List[str]] = []
         numeric_of: List[List[str]] = []
         for dataset, spec in jobs:
-            masks.append(
-                cache.masks(dataset, spec) if cache is not None
-                else spec.masks(dataset)
-            )
+            masks.append(cache.masks(dataset, spec))
             spec.validate(dataset, masks[-1])
             names = (
                 list(attributes) if attributes is not None
@@ -244,45 +241,26 @@ class PredicateGenerator:
             now = time.perf_counter()
             timings["partition"] = now - start
             start = now
-        if cache is not None:
-            entries_of = cache.entries_batch(
-                [
-                    (dataset, spec, numeric)
-                    for (dataset, spec), numeric in zip(jobs, numeric_of)
-                ],
-                self.config.n_partitions,
-            )
-        else:
-            # private entries: the memo writes below die with them
-            entries_of = [
-                {
-                    attr: LabeledAttribute(attr, True, space, labels)
-                    for attr, (space, labels) in label_numeric_batch(
-                        dataset, numeric, abnormal, normal,
-                        self.config.n_partitions,
-                    ).items()
-                }
-                for (dataset, _), numeric, (abnormal, normal) in zip(
-                    jobs, numeric_of, masks
-                )
-            ]
+        entries_of = cache.entries_batch(
+            [
+                (dataset, spec, list(dict.fromkeys(names)))
+                for (dataset, spec), names in zip(jobs, names_of)
+            ],
+            self.config.n_partitions,
+        )
         if timings is not None:
             timings["label"] = time.perf_counter() - start
         numeric = self._numeric_pass(
-            jobs, numeric_of, entries_of, masks, timings
+            cache, jobs, numeric_of, entries_of, masks, timings
         )
         results: List[Dict[str, AttributeArtifacts]] = []
         kept = rejected = 0
-        for (dataset, _), names, (abnormal, normal), numeric_arts in zip(
-            jobs, names_of, masks, numeric
-        ):
+        for names, entries, numeric_arts in zip(names_of, entries_of, numeric):
             artifacts: Dict[str, AttributeArtifacts] = {}
             for attr in names:
                 art = numeric_arts.get(attr)
                 if art is None:
-                    art = self._categorical_attribute(
-                        dataset, attr, abnormal, normal
-                    )
+                    art = self._categorical_attribute(entries[attr])
                 artifacts[attr] = art
                 if art.predicate is not None:
                     kept += 1
@@ -301,6 +279,7 @@ class PredicateGenerator:
     # ------------------------------------------------------------------
     def _numeric_pass(
         self,
+        cache: LabeledSpaceCache,
         jobs: List[Tuple[Dataset, RegionSpec]],
         numeric_of: List[List[str]],
         entries_of: List[Dict[str, LabeledAttribute]],
@@ -315,9 +294,9 @@ class PredicateGenerator:
         Empty to the widest space (constant columns have one partition):
         Empty cells past a row's end change neither its filter nor its
         fill.  Raw values stay per job (row counts differ between jobs).
-        Filtered labels and fills are memoized on the entries, and with a
-        cache so are the θ-gate means, so ranking and a repeat explain
-        reuse them.
+        Filtered labels and fills are memoized on the entries and the
+        θ-gate means in *cache*, so ranking and a repeat explain reuse
+        them.
         """
         config = self.config
         clock = time.perf_counter
@@ -471,7 +450,7 @@ class PredicateGenerator:
 
         # Section 4.5 extract: θ-gate means, then one block → predicate.
         for i, (mu_abnormal, mu_normal) in self._region_means(
-            jobs, arts, matrices, row0, job_of, pos_of, live, masks
+            cache, jobs, arts, matrices, row0, job_of, pos_of, live, masks
         ):
             art = arts[i]
             art.normalized_difference = abs(mu_abnormal - mu_normal)
@@ -502,8 +481,9 @@ class PredicateGenerator:
             results[job_of[i]][art.attr] = art
         return results
 
+    @staticmethod
     def _region_means(
-        self,
+        cache: LabeledSpaceCache,
         jobs: List[Tuple[Dataset, RegionSpec]],
         arts: List[AttributeArtifacts],
         matrices: List[Optional[np.ndarray]],
@@ -526,12 +506,8 @@ class PredicateGenerator:
         # row count -> [(job, rows to compute)]
         todo: Dict[int, List[Tuple[int, List[int]]]] = {}
         for j, job_rows in by_job.items():
-            cached = (
-                self.cache.peek_norm_means(
-                    *jobs[j], [arts[i].attr for i in job_rows]
-                )
-                if self.cache is not None
-                else {}
+            cached = cache.peek_norm_means(
+                *jobs[j], [arts[i].attr for i in job_rows]
             )
             missing = []
             for i in job_rows:
@@ -561,8 +537,7 @@ class PredicateGenerator:
                 ))
                 for i, pair in zip(missing, pairs):
                     means[i] = tuple(pair)
-        if self.cache is not None:
-            self.cache.publish_normalized_means(published)
+        cache.publish_normalized_means(published)
         return [(i, means[i]) for i in rows]
 
     @staticmethod
@@ -587,16 +562,9 @@ class PredicateGenerator:
     # ------------------------------------------------------------------
     # Categorical attributes (label + extract only)
     # ------------------------------------------------------------------
-    def _categorical_attribute(
-        self,
-        dataset: Dataset,
-        attr: str,
-        abnormal: np.ndarray,
-        normal: np.ndarray,
-    ) -> AttributeArtifacts:
-        values = dataset.column(attr)
-        space = CategoricalPartitionSpace(attr, values)
-        labels = space.label(values, abnormal, normal)
+    @staticmethod
+    def _categorical_attribute(entry: LabeledAttribute) -> AttributeArtifacts:
+        attr, space, labels = entry.attr, entry.space, entry.labels_initial
         art = AttributeArtifacts(
             attr=attr, is_numeric=False, space=space, labels_initial=labels
         )

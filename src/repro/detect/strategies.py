@@ -75,12 +75,13 @@ class BaseDetector:
 class DbscanDetector(BaseDetector):
     """The paper's Section 7 algorithm behind the strategy interface."""
 
-    def __init__(self, **kwargs) -> None:
-        super().__init__(
-            min_region_s=kwargs.pop("min_region_s", 5.0),
-            gap_fill_s=kwargs.pop("gap_fill_s", 3.0),
+    def __init__(
+        self, min_region_s: float = 5.0, gap_fill_s: float = 3.0, **kwargs
+    ) -> None:
+        super().__init__(min_region_s=min_region_s, gap_fill_s=gap_fill_s)
+        self._inner = AnomalyDetector(
+            min_region_s=min_region_s, gap_fill_s=gap_fill_s, **kwargs
         )
-        self._inner = AnomalyDetector(**kwargs)
 
     def detect(self, dataset: Dataset) -> DetectionResult:
         return self._inner.detect(dataset)

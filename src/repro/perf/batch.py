@@ -2,7 +2,9 @@
 
 Algorithm 1 labels each numeric attribute's partitions independently; done
 one attribute at a time that is hundreds of (cheap) numpy calls per
-dataset.  Here all numeric columns are stacked into one
+dataset.  :func:`label_rows_batch` (called by
+:meth:`repro.perf.cache.LabeledSpaceCache.entries_batch`, the only place
+attributes are labeled) stacks all numeric columns into one
 ``(n_attrs, n_rows)`` float64 matrix, per-column partition indices are
 computed in one vectorized expression, and the abnormal/normal partition
 counts for *every* attribute come from a single offset ``np.bincount``
@@ -24,12 +26,11 @@ C-contiguous row.
 from __future__ import annotations
 
 import warnings
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
-    "label_numeric_batch",
     "label_rows_batch",
     "normalize_columns_batch",
     "normalized_means_batch",
@@ -73,37 +74,6 @@ def potential_power_batch(matrix: np.ndarray, window: int) -> np.ndarray:
     overall = np.median(matrix, axis=-1)
     locals_ = np.median(windows, axis=-1)
     return np.max(np.abs(overall[..., None] - locals_), axis=-1)
-
-
-def label_numeric_batch(
-    dataset,
-    attrs: Sequence[str],
-    abnormal_mask: np.ndarray,
-    normal_mask: np.ndarray,
-    n_partitions: int,
-) -> Dict[str, Tuple[object, np.ndarray]]:
-    """Label every numeric attribute in one pass.
-
-    Returns ``{attr: (NumericPartitionSpace, labels)}`` where both parts
-    are bitwise-identical to ``space = NumericPartitionSpace(attr, values,
-    n_partitions); space.label(values, abnormal_mask, normal_mask)``.
-    """
-    from repro.core.partition import NumericPartitionSpace
-
-    attrs = list(attrs)
-    if not attrs:
-        return {}
-    matrix = np.stack([dataset.column(a) for a in attrs], axis=0)
-    mins, maxs, labels_grid = label_rows_batch(
-        matrix, abnormal_mask, normal_mask, n_partitions
-    )
-    out: Dict[str, Tuple[object, np.ndarray]] = {}
-    for j, attr in enumerate(attrs):
-        space = NumericPartitionSpace.from_stats(
-            attr, mins[j], maxs[j], n_partitions
-        )
-        out[attr] = (space, labels_grid[j, : space.n_partitions].copy())
-    return out
 
 
 def label_rows_batch(

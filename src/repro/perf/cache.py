@@ -2,21 +2,25 @@
 
 Ranking K causal models over one anomaly (Equation 3) labels the same
 dataset columns into the same partitions once per predicate occurrence —
-O(models x predicates) redundant discretizations.  This cache memoizes,
-per ``(dataset, region-spec, attribute, n_partitions)``:
+O(models x predicates) redundant discretizations.  This cache is the one
+place an attribute is discretized and labeled, for predicate generation
+(Algorithm 1) and for confidence scoring alike.  It memoizes, per
+``(dataset, region-spec, attribute, n_partitions)``:
 
-* the partition space (numeric or categorical),
-* the initial partition labels,
+* the partition space (numeric or categorical) and its initial labels,
+  built on a miss by :meth:`LabeledSpaceCache.entries_batch`;
 * the Section 4.3 filtered labels (written by the predicate generator's
-  batched pass, or computed lazily on first request),
+  batched pass, or by :meth:`LabeledAttribute.filtered_labels` on first
+  request);
 * the Section 4.4 gap-filled labels and Abnormal blocks, per
-  ``(δ, normal-mean partition)`` (written by the generator's pass),
-* the partition representatives (midpoints / category values, lazily),
+  ``(δ, normal-mean partition)`` (written by the generator's pass);
+* the partition representatives and the Abnormal/Normal partition views
+  Equation 3 evaluates on (on first request),
 
 plus, keyed per ``(dataset, region-spec)``, the abnormal/normal row masks
 and, per ``(dataset, region-spec, attribute)``, the normalized region
-means used by the θ gate — so the predicate generator and confidence
-scoring share one labeling of each attribute.
+means of the θ gate (published by the generator).  Callers without a
+long-lived cache use a per-call one, whose entries die with the call.
 
 Keying and invalidation
 -----------------------
@@ -29,8 +33,8 @@ label arrays are shared with callers and must not be written to.
 
 Concurrency
 -----------
-The tables are split across ``n_shards`` lock-striped shards keyed by
-the hash of the full entry key, so concurrent diagnosis workers
+The tables are split across ``_N_SHARDS`` (16) lock-striped shards
+keyed by the hash of the full entry key, so concurrent diagnosis workers
 (:mod:`repro.fleet.scheduler` at ``diagnose_jobs > 1``) contend only
 when they touch the same shard.  The *hit* path takes no lock at all: a
 shard's tables are plain dicts read with one atomic ``dict.get``, and
@@ -64,6 +68,9 @@ from repro.obs import metrics
 __all__ = ["LabeledAttribute", "LabeledSpaceCache", "build_region_partitions"]
 
 _UNSET = object()
+
+#: lock stripes per cache
+_N_SHARDS = 16
 
 _CACHE_HITS = metrics.REGISTRY.counter(
     "repro_cache_hits_total", "Labeled-space cache hits"
@@ -221,13 +228,8 @@ class _Shard:
 class LabeledSpaceCache:
     """Memoized partition spaces, labels, masks, and region statistics."""
 
-    DEFAULT_SHARDS = 16
-
-    def __init__(self, n_shards: int = DEFAULT_SHARDS) -> None:
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        self._shards = tuple(_Shard() for _ in range(int(n_shards)))
-        self._n_shards = len(self._shards)
+    def __init__(self) -> None:
+        self._shards = tuple(_Shard() for _ in range(_N_SHARDS))
         self._reg_lock = threading.Lock()
         self._dataset_refs: Dict[int, Optional[weakref.ref]] = {}
         self._by_dataset: Dict[int, set] = {}
@@ -247,7 +249,7 @@ class LabeledSpaceCache:
         return sum(shard.misses for shard in self._shards)
 
     def _shard_of(self, key: tuple) -> _Shard:
-        return self._shards[hash(key) % self._n_shards]
+        return self._shards[hash(key) % _N_SHARDS]
 
     # ------------------------------------------------------------------
     # Keying and eviction
@@ -391,7 +393,7 @@ class LabeledSpaceCache:
             "entries": n_entries,
             "mask_entries": n_masks,
             "datasets": datasets,
-            "shards": self._n_shards,
+            "shards": _N_SHARDS,
             "resident_bytes": self.resident_bytes(),
         }
 
@@ -407,7 +409,7 @@ class LabeledSpaceCache:
         """
         by_shard: Dict[int, list] = {}
         for key in items:
-            by_shard.setdefault(hash(key) % self._n_shards, []).append(key)
+            by_shard.setdefault(hash(key) % _N_SHARDS, []).append(key)
         winners = dict(items)
         fresh: Dict[int, list] = {}
         for index, keys in by_shard.items():
@@ -561,19 +563,6 @@ class LabeledSpaceCache:
                 found[attr] = winners[(token, skey, attr, n)]
         return results
 
-    def entry(
-        self, dataset, spec, attr: str, n_partitions: int
-    ) -> LabeledAttribute:
-        """Labeled space for a single attribute (direct-hit fast path)."""
-        key = (id(dataset), _spec_key(spec), attr, int(n_partitions))
-        shard = self._shard_of(key)
-        cached = shard.entries.get(key)  # lock-free hit path
-        if cached is not None:
-            shard.hits += 1
-            _CACHE_HITS.inc()
-            return cached
-        return self.entries(dataset, spec, [attr], n_partitions)[attr]
-
     def peek_norm_means(
         self, dataset, spec, attrs: Sequence[str]
     ) -> Dict[str, Tuple[float, float]]:
@@ -599,8 +588,11 @@ class LabeledSpaceCache:
 
         The predicate generator computes the missing pairs of a whole
         batch in one :func:`~repro.perf.batch.normalized_means_batch`
-        pass per row count; each must equal what :meth:`normalized_means`
-        computes.  Counts one miss per pair; first writer wins per key.
+        pass per row count; each pair equals ``region_means(
+        normalize_values(column), abnormal, normal)`` of
+        :mod:`repro.core.separation`, which Equation 2 runs on rows (so the
+        key has no ``n_partitions``).  Counts one miss per pair; first
+        writer wins per key.
         """
         items = {}
         for dataset, spec, means in requests:
@@ -611,28 +603,3 @@ class LabeledSpaceCache:
             for attr, pair in means.items():
                 items[(token, skey, attr)] = tuple(pair)
         self._publish_many("norm_means", items)
-
-    def normalized_means(
-        self, dataset, spec, attr: str
-    ) -> Tuple[float, float]:
-        """Normalized abnormal/normal region means of a numeric attribute.
-
-        Independent of ``n_partitions`` (Equation 2 operates on rows), so
-        keyed without it.
-        """
-        token = self._token(dataset)
-        key = (token, _spec_key(spec), attr)
-        shard = self._shard_of(key)
-        cached = shard.norm_means.get(key)  # lock-free hit path
-        if cached is not None:
-            shard.hits += 1
-            _CACHE_HITS.inc()
-            return cached
-        shard.misses += 1
-        _CACHE_MISSES.inc()
-        from repro.core.separation import normalize_values, region_means
-
-        abnormal, normal = self.masks(dataset, spec)
-        normalized = normalize_values(dataset.column(attr))
-        computed = region_means(normalized, abnormal, normal)
-        return self._publish_many("norm_means", {key: computed})[key]

@@ -14,10 +14,11 @@ keeps the pipeline's state resident instead:
               detector: periodic checkpoints, exponential-backoff
               restarts, replay-exact restore;
 ``wal`` / ``durability``  write-ahead tick log, checkpoint store, and
-              degraded persistence modes;
-``golden``    frozen seed implementations (loop Equation 4, dense-matrix
-              DBSCAN), the equivalence ground truth and benchmark
-              baseline.
+              degraded persistence modes.
+
+The frozen seed detector (loop Equation 4, dense-matrix DBSCAN) that the
+equivalence tests and ``benchmarks/bench_online_detect.py`` compare
+against lives in ``tests/stream_oracle.py``.
 """
 
 from repro.stream.detector import (

@@ -65,7 +65,7 @@ class TestDBSCAN:
         assert labels[-1] == NOISE
 
     def test_auto_eps_heuristic(self):
-        from repro.stream.golden import golden_k_distances
+        from tests.stream_oracle import golden_k_distances
 
         clusterer = DBSCAN(eps=None, min_pts=3).fit(two_blobs())
         kd = golden_k_distances(two_blobs(), 3)

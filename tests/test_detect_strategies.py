@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.anomaly import AnomalyDetector
 from repro.detect.strategies import (
     DbscanDetector,
     EnsembleDetector,
@@ -74,6 +75,32 @@ class TestAllStrategies:
         for region in result.regions:
             rebuilt |= region.contains(ds.timestamps)
         assert np.array_equal(rebuilt, result.mask)
+
+
+class TestDbscanDetector:
+    def test_smoothing_follows_the_given_values(self):
+        # a 2 s dip back to normal inside the anomaly and a 3 s sliver
+        # after it: the default smoothing (5 s / 3 s) bridges the dip and
+        # drops the sliver, 2 s / 0 s keeps both
+        ds = telemetry()
+        quiet = telemetry(seed=1)
+        numeric = {}
+        for attr in ds.numeric_attributes:
+            values = ds.column(attr).copy()
+            values[220:222] = quiet.column(attr)[100:102]
+            values[300:303] = values[230:233]
+            numeric[attr] = values
+        ds = Dataset(ds.timestamps, numeric=numeric)
+        detector = DbscanDetector(min_region_s=2.0, gap_fill_s=0.0)
+        assert (detector.min_region_s, detector.gap_fill_s) == (2.0, 0.0)
+        got = detector.detect(ds)
+        want = AnomalyDetector(min_region_s=2.0, gap_fill_s=0.0).detect(ds)
+        assert np.array_equal(got.mask, want.mask)
+        assert got.regions == want.regions
+        assert got.selected_attributes == want.selected_attributes
+        assert got.eps == want.eps
+        assert len(got.regions) == 3
+        assert got.regions != AnomalyDetector().detect(ds).regions
 
 
 class TestRobustZScore:

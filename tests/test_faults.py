@@ -27,7 +27,8 @@ from repro.faults import (
     SpikeCorruption,
     StuckAtCounter,
 )
-from repro.perf.batch import label_numeric_batch, potential_power_batch
+from repro.perf.batch import potential_power_batch
+from repro.perf.cache import LabeledSpaceCache
 
 
 def make_dataset(n=120, seed=3, name="clean"):
@@ -297,11 +298,11 @@ class TestNaNHardening:
         attrs = ds.numeric_attributes
         abnormal = spec.abnormal_mask(ds)
         normal = spec.normal_mask(ds)
-        batch = label_numeric_batch(ds, attrs, abnormal, normal, 250)
+        batch = LabeledSpaceCache().entries(ds, spec, attrs, 250)
         for attr in attrs:
             space = NumericPartitionSpace.from_dataset(ds, attr, 250)
             serial = space.label(ds.column(attr), abnormal, normal)
-            b_space, b_labels = batch[attr]
+            b_space, b_labels = batch[attr].space, batch[attr].labels_initial
             assert b_space.n_partitions == space.n_partitions
             assert np.array_equal(serial, b_labels), attr
 

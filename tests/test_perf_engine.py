@@ -3,8 +3,8 @@
 The perf layer (shared LabeledSpaceCache, batched numeric labeling,
 parallel_map) must be **bitwise-identical** to the serial seed
 implementations it replaces — these tests compare every fast path against
-the frozen golden copies in ``repro.perf.golden`` with exact ``==``
-comparisons, no tolerances.
+the frozen golden copies in ``tests/generator_oracle.py`` with exact
+``==`` comparisons, no tolerances.
 """
 
 import os
@@ -23,10 +23,10 @@ from repro.core.predicates import CategoricalPredicate, NumericPredicate
 from repro.data.dataset import Dataset
 from repro.data.regions import RegionSpec
 from repro.eval.harness import build_suite, evaluate_single_models, rank_models
-from repro.perf.batch import label_numeric_batch
 from repro.perf.cache import LabeledSpaceCache
 from repro.core.filtering import abnormal_blocks, fill_gaps, filter_partitions
-from repro.perf.golden import (
+from repro.perf.parallel import parallel_map, resolve_jobs
+from tests.generator_oracle import (
     golden_abnormal_blocks,
     golden_fill_gaps,
     golden_filter_partitions,
@@ -34,7 +34,6 @@ from repro.perf.golden import (
     golden_model_confidence,
     golden_rank,
 )
-from repro.perf.parallel import parallel_map, resolve_jobs
 
 
 def _synthetic_dataset(seed: int = 11, n_rows: int = 120) -> Dataset:
@@ -94,36 +93,51 @@ def _assert_artifacts_equal(ours, golden):
 
 class TestBatchedLabeling:
     def test_batch_matches_serial_per_attribute(self):
-        ds = _synthetic_dataset()
-        abnormal, normal = SPEC.abnormal_mask(ds), SPEC.normal_mask(ds)
-        batched = label_numeric_batch(
-            ds, ds.numeric_attributes, abnormal, normal, 250
+        # two anomalies with one row count label in one pass, each row
+        # with its own anomaly's region masks
+        jobs = [
+            (_synthetic_dataset(), SPEC),
+            (_synthetic_dataset(seed=12), RegionSpec.from_bounds([(10, 29)])),
+        ]
+        got = LabeledSpaceCache().entries_batch(
+            [(ds, spec, ds.numeric_attributes) for ds, spec in jobs], 250
         )
-        for attr in ds.numeric_attributes:
-            values = ds.column(attr)
-            serial_space = NumericPartitionSpace(attr, values, 250)
-            serial_labels = serial_space.label(values, abnormal, normal)
-            space, labels = batched[attr]
-            assert space.minimum == serial_space.minimum
-            assert space.maximum == serial_space.maximum
-            assert space.width == serial_space.width
-            assert space.n_partitions == serial_space.n_partitions
-            assert labels.dtype == serial_labels.dtype
-            assert np.array_equal(labels, serial_labels)
+        for (ds, spec), batched in zip(jobs, got):
+            abnormal, normal = spec.abnormal_mask(ds), spec.normal_mask(ds)
+            for attr in ds.numeric_attributes:
+                values = ds.column(attr)
+                serial_space = NumericPartitionSpace(attr, values, 250)
+                serial_labels = serial_space.label(values, abnormal, normal)
+                entry = batched[attr]
+                space, labels = entry.space, entry.labels_initial
+                assert entry.is_numeric
+                assert space.minimum == serial_space.minimum
+                assert space.maximum == serial_space.maximum
+                assert space.width == serial_space.width
+                assert space.n_partitions == serial_space.n_partitions
+                assert labels.dtype == serial_labels.dtype
+                assert np.array_equal(labels, serial_labels)
 
     def test_constant_attribute_collapses_to_one_partition(self):
         ds = _synthetic_dataset()
         abnormal, normal = SPEC.abnormal_mask(ds), SPEC.normal_mask(ds)
-        batched = label_numeric_batch(ds, ["constant"], abnormal, normal, 250)
-        space, labels = batched["constant"]
+        entry = LabeledSpaceCache().entries(ds, SPEC, ["constant"], 250)[
+            "constant"
+        ]
+        space, labels = entry.space, entry.labels_initial
         assert space.n_partitions == 1
         assert space.width == 0
         assert labels.shape == (1,)
+        values = ds.column("constant")
+        serial = NumericPartitionSpace("constant", values, 250)
+        assert np.array_equal(labels, serial.label(values, abnormal, normal))
 
     def test_empty_attribute_list(self):
         ds = _synthetic_dataset()
-        abnormal, normal = SPEC.abnormal_mask(ds), SPEC.normal_mask(ds)
-        assert label_numeric_batch(ds, [], abnormal, normal, 250) == {}
+        cache = LabeledSpaceCache()
+        assert cache.entries_batch([(ds, SPEC, [])], 250) == [{}]
+        assert cache.entries_batch([], 250) == []
+        assert cache.stats()["entries"] == 0
 
     def test_midpoints_matches_scalar_loop_bitwise(self):
         for seed in range(6):
@@ -493,10 +507,10 @@ class TestLabeledSpaceCache:
     def test_hit_and_miss_counters(self):
         ds = _synthetic_dataset()
         cache = LabeledSpaceCache()
-        cache.entry(ds, SPEC, "step", 250)
+        cache.entries(ds, SPEC, ["step"], 250)
         # masks miss + entry miss
         assert cache.misses == 2 and cache.hits == 0
-        cache.entry(ds, SPEC, "step", 250)
+        cache.entries(ds, SPEC, ["step"], 250)
         assert cache.hits == 1
         cache.masks(ds, SPEC)
         assert cache.hits == 2
@@ -511,33 +525,59 @@ class TestLabeledSpaceCache:
         assert labeled_misses == 1  # one attribute labeled once, not 8x
         assert cache.hits >= 7
 
+    def test_explain_then_rank_labels_a_categorical_attribute_once(
+        self, monkeypatch
+    ):
+        from repro.core.explain import DBSherlock
+
+        labeled = []
+        label = CategoricalPartitionSpace.label
+
+        def counting_label(space, *args, **kwargs):
+            labeled.append(space.attr)
+            return label(space, *args, **kwargs)
+
+        monkeypatch.setattr(CategoricalPartitionSpace, "label", counting_label)
+        ds = _synthetic_dataset()
+        sherlock = DBSherlock()
+        sherlock.explain(ds, SPEC)
+        assert labeled == ["mode"]
+        spike = CategoricalPredicate.of("mode", ["spike"])
+        sherlock.store.add(CausalModel("mode switch", [spike]))
+        hits, misses = sherlock.cache.hits, sherlock.cache.misses
+        assert sherlock.diagnose(ds, SPEC) == [("mode switch", 1.0)]
+        assert labeled == ["mode"]  # ranking reused explain's labeling
+        assert sherlock.cache.misses == misses
+        assert sherlock.cache.hits > hits
+
     def test_distinct_n_partitions_are_distinct_entries(self):
         ds = _synthetic_dataset()
         cache = LabeledSpaceCache()
-        a = cache.entry(ds, SPEC, "step", 250)
-        b = cache.entry(ds, SPEC, "step", 50)
+        a = cache.entries(ds, SPEC, ["step"], 250)["step"]
+        b = cache.entries(ds, SPEC, ["step"], 50)["step"]
         assert a.space.n_partitions == 250
         assert b.space.n_partitions == 50
 
     def test_structurally_equal_specs_share_entries(self):
         ds = _synthetic_dataset()
         cache = LabeledSpaceCache()
-        cache.entry(ds, RegionSpec.from_bounds([(40, 69)]), "step", 250)
+        cache.entries(ds, RegionSpec.from_bounds([(40, 69)]), ["step"], 250)
         before = cache.misses
-        cache.entry(ds, RegionSpec.from_bounds([(40, 69)]), "step", 250)
+        cache.entries(ds, RegionSpec.from_bounds([(40, 69)]), ["step"], 250)
         assert cache.misses == before and cache.hits >= 1
 
     def test_invalidate_dataset(self):
         ds = _synthetic_dataset()
         other = _synthetic_dataset(seed=42)
         cache = LabeledSpaceCache()
-        cache.entry(ds, SPEC, "step", 250)
-        cache.entry(other, SPEC, "step", 250)
+        cache.entries(ds, SPEC, ["step"], 250)
+        cache.entries(other, SPEC, ["step"], 250)
         assert cache.stats()["datasets"] == 2
         cache.invalidate(ds)
         assert cache.stats()["datasets"] == 1
         misses = cache.misses
-        cache.entry(ds, SPEC, "step", 250)  # re-computed after invalidation
+        # re-computed after invalidation
+        cache.entries(ds, SPEC, ["step"], 250)
         assert cache.misses > misses
         cache.invalidate()
         assert cache.stats()["entries"] == 0
@@ -577,7 +617,7 @@ class TestLabeledSpaceCache:
 
         cache = LabeledSpaceCache()
         ds = _synthetic_dataset()
-        cache.entry(ds, SPEC, "step", 250)
+        cache.entries(ds, SPEC, ["step"], 250)
         assert cache.stats()["datasets"] == 1
         del ds
         gc.collect()
@@ -848,11 +888,13 @@ class TestBatchKernelsBitwise:
 # Sharded cache: concurrency, GC-pressure eviction, publication races
 # ----------------------------------------------------------------------
 class TestShardedCacheConcurrency:
-    def test_rejects_bad_shard_count_and_reports_shards(self):
-        with pytest.raises(ValueError):
-            LabeledSpaceCache(n_shards=0)
-        assert LabeledSpaceCache(n_shards=1).stats()["shards"] == 1
-        assert LabeledSpaceCache().stats()["shards"] >= 1
+    def test_reports_its_shard_count(self):
+        # the stripe count is a module constant, not a constructor knob
+        from repro.perf.cache import _N_SHARDS
+
+        assert LabeledSpaceCache().stats()["shards"] == _N_SHARDS == 16
+        with pytest.raises(TypeError):
+            LabeledSpaceCache(n_shards=1)
 
     def test_concurrent_readers_share_one_published_entry(self):
         import threading
@@ -869,7 +911,9 @@ class TestShardedCacheConcurrency:
                 barrier.wait()
                 for ds in datasets:
                     for attr in ("step", "drop", "noise"):
-                        results[k].append(cache.entry(ds, SPEC, attr, 250))
+                        results[k].append(
+                            cache.entries(ds, SPEC, [attr], 250)[attr]
+                        )
             except Exception as exc:  # pragma: no cover - failure detail
                 errors.append(exc)
 
@@ -910,7 +954,7 @@ class TestShardedCacheConcurrency:
                 while not stop.is_set():
                     cache.stats()
                     cache.resident_bytes()
-                    cache.entry(keep, SPEC, "step", 50)
+                    cache.entries(keep, SPEC, ["step"], 50)
             except Exception as exc:  # pragma: no cover - failure detail
                 errors.append(exc)
 
@@ -920,7 +964,7 @@ class TestShardedCacheConcurrency:
         try:
             for i in range(120):
                 ds = _synthetic_dataset(seed=i % 9, n_rows=96)
-                cache.entry(ds, SPEC, "step", 50)
+                cache.entries(ds, SPEC, ["step"], 50)
                 cache.masks(ds, SPEC)
                 del ds
                 if i % 7 == 0:
@@ -940,16 +984,22 @@ class TestShardedCacheConcurrency:
 
         ds = _synthetic_dataset()
         fresh = LabeledSpaceCache()
-        want = fresh.normalized_means(ds, SPEC, "step")
+        PredicateGenerator(cache=fresh).generate(ds, SPEC)
+        want = fresh.peek_norm_means(ds, SPEC, ["step"])["step"]
         seeded = LabeledSpaceCache()
         abnormal, normal = SPEC.abnormal_mask(ds), SPEC.normal_mask(ds)
         means = region_means(
             normalize_values(ds.column("step")), abnormal, normal
         )
         seeded.publish_normalized_means([(ds, SPEC, {"step": means})])
-        hits = seeded.hits
-        assert seeded.normalized_means(ds, SPEC, "step") == want
-        assert seeded.hits == hits + 1  # served from the seeded entry
+        assert seeded.peek_norm_means(ds, SPEC, ["step"]) == {"step": want}
+        # the θ gate reads a published pair instead of recomputing it
+        planted = LabeledSpaceCache()
+        planted.publish_normalized_means([(ds, SPEC, {"step": (0.75, 0.25)})])
+        art = PredicateGenerator(cache=planted).generate_with_artifacts(
+            ds, SPEC, ["step"]
+        )["step"]
+        assert art.normalized_difference == 0.5
 
 
 # ----------------------------------------------------------------------
@@ -1007,6 +1057,8 @@ class TestExplainBatchEquivalence:
     def test_cached_normalized_means_bitwise_equal_to_fresh_cache(self):
         # the θ-gate means the batched generator publishes must equal the
         # serial single-attribute computation to the last bit
+        from repro.core.separation import normalize_values, region_means
+
         jobs = self._jobs()
         sherlock = self._seeded_sherlock()
         sherlock.explain_batch(jobs)
@@ -1016,7 +1068,9 @@ class TestExplainBatchEquivalence:
                 ds, spec, ds.numeric_attributes
             )
             for attr, pair in cached.items():
-                want = LabeledSpaceCache().normalized_means(ds, spec, attr)
+                want = region_means(
+                    normalize_values(ds.column(attr)), *spec.masks(ds)
+                )
                 assert pair == want, (attr, pair, want)
                 checked += 1
         assert checked >= len(jobs) * 3

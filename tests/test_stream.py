@@ -5,7 +5,7 @@ The load-bearing suite here is :class:`TestExactEquivalence`: the
 regions, selected attributes, ε — to running the batch
 :class:`AnomalyDetector` from scratch on every window cut from seeded
 scenario runs, and the batch detector must match the frozen seed
-implementation in ``repro.stream.golden``.  :class:`TestCheckpointFixture`
+implementation in ``tests/stream_oracle.py``.  :class:`TestCheckpointFixture`
 replays a trace frozen from the per-stream detector this one replaced.
 """
 
@@ -19,7 +19,7 @@ from repro.core.anomaly import AnomalyDetector, potential_power
 from repro.core.separation import normalize_values
 from repro.eval.harness import replay_rows, simulate_run
 from repro.stream import StreamingDetector, StreamingDiagnoser
-from repro.stream.golden import GoldenAnomalyDetector
+from tests.stream_oracle import GoldenAnomalyDetector
 
 FIXTURE = Path(__file__).parent / "fixtures" / "stream_checkpoint_v1.json"
 
