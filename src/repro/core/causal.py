@@ -34,42 +34,144 @@ from repro.core.predicates import (
 from repro.data.dataset import Dataset
 from repro.data.regions import RegionSpec
 from repro.perf.cache import (
-    LabeledAttribute,
     LabeledSpaceCache,
     build_region_partitions,
+    padded_rows,
 )
 from repro.schema.fingerprint import AttributeFingerprint
 
-__all__ = ["CausalModel", "CausalModelStore", "model_confidence"]
+__all__ = [
+    "CausalModel",
+    "CausalModelStore",
+    "ModelScores",
+    "model_confidence",
+    "rank_by_confidence",
+    "score_models",
+]
 
 DEFAULT_CONFIDENCE_PARTITIONS = 250
 
 
-def _predicate_on_partitions(
-    predicate: Predicate, entry: LabeledAttribute, apply_filtering: bool
-) -> float:
-    """Separation power of one predicate in the partition space (Eq. 3 term).
+@dataclass(frozen=True)
+class ModelScores:
+    """Equation 3 for several models over one anomaly.
 
-    *entry* is the attribute's labeled space from a
-    :class:`repro.perf.cache.LabeledSpaceCache`.  The predicate is
-    evaluated only on the representatives of the Abnormal and Normal
-    partitions: the satisfied counts (hence the ratios) equal masking a
-    full-space evaluation.  A predicate contributes zero when either
-    region has no labeled partitions.
+    ``terms[m]`` holds model *m*'s per-predicate separation powers in
+    predicate order (0.0 where the attribute is absent or a region has
+    no labeled partitions); ``confidences[m]`` is their in-order sum
+    divided by the predicate count (0.0 for an empty model).
     """
-    regions = entry.region_partitions(apply_filtering)
-    if regions is None:
-        return 0.0
-    reps_abnormal, reps_normal, n_abnormal, n_normal = regions
-    ratio_abnormal = (
-        float(np.count_nonzero(predicate.evaluate_values(reps_abnormal)))
-        / n_abnormal
+
+    confidences: List[float]
+    terms: List[List[float]]
+
+
+def score_models(
+    predicate_lists: Sequence[Sequence[Predicate]],
+    dataset: Dataset,
+    spec: RegionSpec,
+    n_partitions: int = DEFAULT_CONFIDENCE_PARTITIONS,
+    apply_filtering: bool = True,
+    cache: Optional[object] = None,
+) -> ModelScores:
+    """Equation 3 for every predicate list in one pass.
+
+    A predicate's term is its separation power in the partition space:
+    the share of Abnormal partitions whose representative satisfies it
+    minus the share of Normal ones.  The labeled spaces of all the
+    models' attributes come from one cache request and their region
+    views are built once.  Numeric predicates on numeric attributes are
+    then compared in one broadcast against zero-padded grids
+    (:func:`~repro.perf.cache.padded_rows`) of the Abnormal and Normal
+    representatives, with explicit has-bound masks
+    (so a NaN bound or an infinite representative counts exactly as
+    :meth:`NumericPredicate.evaluate_values` counts it); any other
+    predicate is evaluated on its attribute's views.  Each model's terms
+    are added in predicate order, so a confidence is bitwise-equal to
+    scoring the model alone.  A predicate on an attribute *dataset*
+    lacks contributes zero; without a *cache* the call uses a private
+    :class:`~repro.perf.cache.LabeledSpaceCache`.
+    """
+    if cache is None:
+        cache = LabeledSpaceCache()
+    predicate_lists = list(predicate_lists)
+    flat = [p for predicates in predicate_lists for p in predicates]
+    # every occurrence is a cache request (repeats count as hits)
+    present = [p.attr for p in flat if p.attr in dataset]
+    entries = (
+        cache.entries(dataset, spec, present, n_partitions) if present else {}
     )
-    ratio_normal = (
-        float(np.count_nonzero(predicate.evaluate_values(reps_normal)))
-        / n_normal
-    )
-    return ratio_abnormal - ratio_normal
+    build_region_partitions(entries.values(), apply_filtering)
+    regions = {
+        attr: entry.region_partitions(apply_filtering)
+        for attr, entry in entries.items()
+    }
+    # one grid row per numeric attribute with both regions labeled
+    row_of = {
+        attr: row
+        for row, attr in enumerate(
+            attr
+            for attr, region in regions.items()
+            if region is not None and entries[attr].is_numeric
+        )
+    }
+    terms = np.zeros(len(flat))
+    batched: List[int] = []
+    rows: List[int] = []
+    lowers: List[Optional[float]] = []
+    uppers: List[Optional[float]] = []
+    for i, predicate in enumerate(flat):
+        region = regions.get(predicate.attr)
+        if region is None:
+            continue
+        row = row_of.get(predicate.attr)
+        if row is not None and isinstance(predicate, NumericPredicate):
+            batched.append(i)
+            rows.append(row)
+            lowers.append(predicate.lower)
+            uppers.append(predicate.upper)
+            continue
+        reps_abnormal, reps_normal, n_abnormal, n_normal = region
+        terms[i] = (
+            float(np.count_nonzero(predicate.evaluate_values(reps_abnormal)))
+            / n_abnormal
+            - float(np.count_nonzero(predicate.evaluate_values(reps_normal)))
+            / n_normal
+        )
+    if batched:
+        numeric = [regions[attr] for attr in row_of]
+        index = np.asarray(rows)
+        has_lower = np.array([b is not None for b in lowers])[:, None]
+        has_upper = np.array([b is not None for b in uppers])[:, None]
+        lower = np.array(
+            [0.0 if b is None else b for b in lowers], dtype=np.float64
+        )[:, None]
+        upper = np.array(
+            [0.0 if b is None else b for b in uppers], dtype=np.float64
+        )[:, None]
+        ratios = []
+        for k in (0, 1):  # Abnormal, then Normal
+            grid, valid = padded_rows([region[k] for region in numeric])
+            values = grid[index]
+            satisfied = valid[index]
+            satisfied &= ~has_lower | (values > lower)
+            satisfied &= ~has_upper | (values < upper)
+            sizes = np.array([region[k + 2] for region in numeric])[index]
+            ratios.append(np.count_nonzero(satisfied, axis=1) / sizes)
+        terms[batched] = ratios[0] - ratios[1]
+    per_model: List[List[float]] = []
+    confidences: List[float] = []
+    values_of = terms.tolist()
+    start = 0
+    for predicates in predicate_lists:
+        model_terms = values_of[start : start + len(predicates)]
+        start += len(predicates)
+        total = 0.0
+        for term in model_terms:  # predicate order: no reassociation
+            total += term
+        per_model.append(model_terms)
+        confidences.append(total / len(model_terms) if model_terms else 0.0)
+    return ModelScores(confidences=confidences, terms=per_model)
 
 
 def model_confidence(
@@ -82,29 +184,33 @@ def model_confidence(
 ) -> float:
     """Equation 3: mean partition-space separation power of *predicates*.
 
-    Each attribute is labeled once through a
-    :class:`repro.perf.cache.LabeledSpaceCache`; passing one shares the
-    labeled spaces across models and repeated rankings of the same
-    anomaly, and without one the call uses a private cache.  A predicate
-    on an attribute *dataset* lacks contributes zero.
+    The one-model case of :func:`score_models`.
     """
-    if not predicates:
-        return 0.0
-    if cache is None:
-        cache = LabeledSpaceCache()
-    present = [p.attr for p in predicates if p.attr in dataset]
-    entries = (
-        cache.entries(dataset, spec, present, n_partitions) if present else {}
+    return score_models(
+        [predicates], dataset, spec, n_partitions, apply_filtering, cache
+    ).confidences[0]
+
+
+def rank_by_confidence(
+    models: Sequence["CausalModel"],
+    dataset: Dataset,
+    spec: RegionSpec,
+    n_partitions: int = DEFAULT_CONFIDENCE_PARTITIONS,
+    apply_filtering: bool = True,
+    cache: Optional[object] = None,
+) -> List[Tuple[str, float]]:
+    """``(cause, confidence)`` of *models*, highest first, from one
+    :func:`score_models` pass (ties keep model order)."""
+    scores = score_models(
+        [model.predicates for model in models],
+        dataset, spec, n_partitions, apply_filtering, cache,
     )
-    # the model's region views in one pass instead of one each
-    build_region_partitions(entries.values(), apply_filtering)
-    total = 0.0
-    for predicate in predicates:
-        if predicate.attr in entries:
-            total += _predicate_on_partitions(
-                predicate, entries[predicate.attr], apply_filtering
-            )
-    return total / len(predicates)
+    ranked = [
+        (model.cause, confidence)
+        for model, confidence in zip(models, scores.confidences)
+    ]
+    ranked.sort(key=lambda item: item[1], reverse=True)
+    return ranked
 
 
 @dataclass
@@ -269,17 +375,10 @@ class CausalModelStore:
                 cache=cache,
                 coverage_floor=coverage_floor,
             ).scores
-        scored = [
-            (
-                model.cause,
-                model.confidence(
-                    dataset, spec, n_partitions, apply_filtering, cache=cache
-                ),
-            )
-            for model in self._models.values()
-        ]
-        scored.sort(key=lambda item: item[1], reverse=True)
-        return scored
+        return rank_by_confidence(
+            list(self._models.values()),
+            dataset, spec, n_partitions, apply_filtering, cache,
+        )
 
     def rank_reconciled(
         self,

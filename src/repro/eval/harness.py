@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.anomalies.base import ScheduledAnomaly
 from repro.anomalies.library import ANOMALY_CAUSES, make_anomaly
-from repro.core.causal import CausalModel
+from repro.core.causal import CausalModel, rank_by_confidence
 from repro.core.generator import GeneratorConfig, PredicateGenerator
 from repro.data.dataset import Dataset
 from repro.data.regions import RegionSpec
@@ -268,11 +268,9 @@ def rank_models(
             )
             _observe_rank(result.scores, result.report, result.abstained)
             return result.scores
-        scored = [
-            (m.cause, m.confidence(dataset, spec, n_partitions, cache=cache))
-            for m in models
-        ]
-        scored.sort(key=lambda item: item[1], reverse=True)
+        scored = rank_by_confidence(
+            models, dataset, spec, n_partitions, cache=cache
+        )
         _observe_rank(scored, None, [])
         return scored
 

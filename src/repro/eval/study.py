@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.causal import CausalModel
+from repro.core.causal import CausalModel, score_models
 from repro.data.dataset import Dataset
 from repro.data.regions import RegionSpec
 
@@ -86,15 +86,14 @@ class UserStudy:
         Options without a known model read as zero evidence — mirroring a
         participant for whom the predicates ring no bells for that cause.
         """
-        scores: Dict[str, float] = {}
-        for option in question.options:
-            model = self.models.get(option)
-            scores[option] = (
-                model.confidence(question.dataset, question.spec)
-                if model is not None
-                else 0.0
-            )
-        return scores
+        known = [o for o in question.options if o in self.models]
+        confidences = score_models(
+            [self.models[o].predicates for o in known],
+            question.dataset,
+            question.spec,
+        ).confidences
+        scores = dict(zip(known, confidences))
+        return {o: scores.get(o, 0.0) for o in question.options}
 
     def simulate_participant(
         self, noise: float, rng: np.random.Generator

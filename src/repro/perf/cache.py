@@ -1,11 +1,11 @@
 """LabeledSpaceCache: the shared partition-space representation.
 
-Ranking K causal models over one anomaly (Equation 3) labels the same
-dataset columns into the same partitions once per predicate occurrence —
-O(models x predicates) redundant discretizations.  This cache is the one
-place an attribute is discretized and labeled, for predicate generation
-(Algorithm 1) and for confidence scoring alike.  It memoizes, per
-``(dataset, region-spec, attribute, n_partitions)``:
+Ranking K causal models over one anomaly (Equation 3) reads the same
+dataset columns in the same partitions once per predicate occurrence —
+O(models x predicates) redundant discretizations without a cache.  This
+cache is the one place an attribute is discretized and labeled, for
+predicate generation (Algorithm 1) and for confidence scoring alike.  It
+memoizes, per ``(dataset, region-spec, n_partitions)`` and attribute:
 
 * the partition space (numeric or categorical) and its initial labels,
   built on a miss by :meth:`LabeledSpaceCache.entries_batch`;
@@ -17,31 +17,43 @@ place an attribute is discretized and labeled, for predicate generation
 * the partition representatives and the Abnormal/Normal partition views
   Equation 3 evaluates on (on first request),
 
-plus, keyed per ``(dataset, region-spec)``, the abnormal/normal row masks
-and, per ``(dataset, region-spec, attribute)``, the normalized region
-means of the θ gate (published by the generator).  Callers without a
-long-lived cache use a per-call one, whose entries die with the call.
+plus, per ``(dataset, region-spec)``, the abnormal/normal row masks and
+the normalized region means of the θ gate per attribute (published by
+the generator).  Callers without a long-lived cache use a per-call one,
+whose entries die with the call.
 
 Keying and invalidation
 -----------------------
-Datasets are keyed by identity (``id``) and held via ``weakref`` so that
-entries are evicted automatically when a dataset is garbage-collected;
-region specs are keyed *structurally* (their interval bounds), so two
-equal specs share entries.  Datasets are treated as immutable — call
-:meth:`LabeledSpaceCache.invalidate` after mutating one in place.  Cached
-label arrays are shared with callers and must not be written to.
+Datasets are keyed by identity (``id``, the *token*) and held via
+``weakref`` so that entries are evicted automatically when a dataset is
+garbage-collected; region specs are keyed *structurally* (their
+interval bounds), so two equal specs share entries.  Every lookup —
+including :meth:`LabeledSpaceCache.peek_norm_means` — goes through the
+token, which first drains pending evictions and guards against ``id``
+reuse, so a new dataset never reads a dead one's values.
+
+Each labeled space lives in one *table* per ``(token, spec key,
+n_partitions)``: a dict by attribute.  A request hashes that one small
+key and then does one dict lookup per attribute, instead of building a
+``(token, spec key, attr, n)`` tuple per attribute; the θ-gate means
+are tabled the same way per ``(token, spec key)``.  A dataset's
+registration lists its tables, not its attributes, so evicting it drops
+a handful of tables.  Datasets are treated as immutable — call
+:meth:`LabeledSpaceCache.invalidate` after mutating one in place.
+Cached label arrays are shared with callers and must not be written to.
 
 Concurrency
 -----------
 The tables are split across ``_N_SHARDS`` (16) lock-striped shards
-keyed by the hash of the full entry key, so concurrent diagnosis workers
+keyed by the hash of the table key, so concurrent diagnosis workers
 (:mod:`repro.fleet.scheduler` at ``diagnose_jobs > 1``) contend only
 when they touch the same shard.  The *hit* path takes no lock at all: a
-shard's tables are plain dicts read with one atomic ``dict.get``, and
-every published value is immutable-by-convention, so a reader either
-sees the complete entry or misses.  Writers compute off-lock, then
-check-then-publish under the shard lock (first writer wins; losers
-return the winner's entry so sharing semantics are preserved).
+shard's tables and their per-attribute dicts are plain dicts read with
+atomic ``dict.get`` calls, and every published value is
+immutable-by-convention, so a reader either sees the complete entry or
+misses.  Writers compute off-lock, then check-then-publish under the
+shard lock (first writer wins per attribute; losers return the winner's
+entry so sharing semantics are preserved).
 
 Weakref eviction is *deferred*: a dataset's GC callback — which CPython
 may fire at any bytecode boundary, including while this very thread is
@@ -65,9 +77,16 @@ import numpy as np
 
 from repro.obs import metrics
 
-__all__ = ["LabeledAttribute", "LabeledSpaceCache", "build_region_partitions"]
+__all__ = [
+    "LabeledAttribute",
+    "LabeledSpaceCache",
+    "build_region_partitions",
+    "padded_rows",
+]
 
 _UNSET = object()
+#: stands in for a table not created yet (read-only by convention)
+_NO_TABLE: Dict = {}
 
 #: lock stripes per cache
 _N_SHARDS = 16
@@ -151,15 +170,28 @@ class LabeledAttribute:
         return getattr(self, slot)
 
 
+def padded_rows(
+    rows: Sequence[np.ndarray], fill=0.0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Ragged 1-D *rows* (at least one) stacked into a *fill*-padded
+    grid (of *fill*'s dtype), with the mask of the cells they fill."""
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    grid = np.full(valid.shape, fill)
+    grid[valid] = np.concatenate(rows)
+    return grid, valid
+
+
 def build_region_partitions(
     entries: Sequence[LabeledAttribute], apply_filtering: bool = True
 ) -> None:
     """Build the missing :meth:`LabeledAttribute.region_partitions` views.
 
-    Numeric entries take one pass: stacked (Empty-padded) label rows,
-    every row's midpoints from one expression with the per-element
-    operations of :meth:`NumericPartitionSpace.midpoints` (so
-    bitwise-equal), and one boolean gather per region.
+    Numeric entries take one pass: their label rows in one
+    :func:`padded_rows` grid (Empty-padded), every row's midpoints from
+    one expression with the per-element operations of
+    :meth:`NumericPartitionSpace.midpoints` (so bitwise-equal), and one
+    boolean gather per region.
     """
     from repro.core.partition import Label
 
@@ -172,10 +204,8 @@ def build_region_partitions(
     views = {}
     numeric = [e for e in todo if e.is_numeric]
     if numeric:
-        width = max(labels[e].shape[0] for e in numeric)
-        grid = np.full((len(numeric), width), int(Label.EMPTY), dtype=np.int64)
-        for row, entry in enumerate(numeric):
-            grid[row, : labels[entry].shape[0]] = labels[entry]
+        grid, _ = padded_rows([labels[e] for e in numeric], int(Label.EMPTY))
+        width = grid.shape[1]
         minimum = np.array([e.space.minimum for e in numeric])[:, None]
         step = np.array([e.space.width for e in numeric])[:, None]
         reps = (minimum + np.arange(width, dtype=np.float64) * step) + step / 2.0
@@ -214,15 +244,23 @@ def _spec_key(spec) -> tuple:
 class _Shard:
     """One lock stripe: its own tables, lock, and hit/miss counters."""
 
-    __slots__ = ("lock", "entries", "masks", "norm_means", "hits", "misses")
+    __slots__ = ("lock", "spaces", "masks", "norm_means", "hits", "misses")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.entries: Dict[tuple, LabeledAttribute] = {}
+        #: (token, spec key, n_partitions) -> {attr: LabeledAttribute}
+        self.spaces: Dict[tuple, Dict[str, LabeledAttribute]] = {}
+        #: (token, spec key) -> (abnormal, normal) row masks
         self.masks: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
-        self.norm_means: Dict[tuple, Tuple[float, float]] = {}
+        #: (token, spec key) -> {attr: (µA, µN)}
+        self.norm_means: Dict[tuple, Dict[str, Tuple[float, float]]] = {}
         self.hits = 0
         self.misses = 0
+
+
+def _n_values(table: str, value) -> int:
+    """Cached values one table slot holds (a mask pair counts as one)."""
+    return 1 if table == "masks" else len(value)
 
 
 class LabeledSpaceCache:
@@ -232,6 +270,7 @@ class LabeledSpaceCache:
         self._shards = tuple(_Shard() for _ in range(_N_SHARDS))
         self._reg_lock = threading.Lock()
         self._dataset_refs: Dict[int, Optional[weakref.ref]] = {}
+        #: token -> the (table, key) slots created for that dataset
         self._by_dataset: Dict[int, set] = {}
         #: tokens whose dataset died; drained at the next entry point.
         self._pending: List[int] = []
@@ -278,15 +317,6 @@ class LabeledSpaceCache:
                 self._by_dataset[token] = set()
         return token
 
-    def _register(self, token: int, table: str, keys) -> bool:
-        """Record *keys* against their dataset; False if it was evicted."""
-        with self._reg_lock:
-            members = self._by_dataset.get(token)
-            if members is None:
-                return False
-            members.update((table, key) for key in keys)
-            return True
-
     def _reap(self) -> None:
         """Drain pending weakref deaths under the proper locks."""
         while self._pending:
@@ -303,14 +333,15 @@ class LabeledSpaceCache:
 
     def _evict_now(self, token: int) -> None:
         with self._reg_lock:
-            keys = self._by_dataset.pop(token, ())
+            slots = self._by_dataset.pop(token, ())
             self._dataset_refs.pop(token, None)
         evicted = 0
-        for table, key in keys:
+        for table, key in slots:
             shard = self._shard_of(key)
             with shard.lock:
-                if getattr(shard, table).pop(key, None) is not None:
-                    evicted += 1
+                value = getattr(shard, table).pop(key, None)
+            if value is not None:
+                evicted += _n_values(table, value)
         if evicted:
             with self._reg_lock:
                 self.evictions += evicted
@@ -335,14 +366,12 @@ class LabeledSpaceCache:
         dropped = 0
         for shard in self._shards:
             with shard.lock:
-                dropped += (
-                    len(shard.entries)
-                    + len(shard.masks)
-                    + len(shard.norm_means)
-                )
-                shard.entries.clear()
-                shard.masks.clear()
-                shard.norm_means.clear()
+                for table in ("spaces", "masks", "norm_means"):
+                    mapping = getattr(shard, table)
+                    dropped += sum(
+                        _n_values(table, value) for value in mapping.values()
+                    )
+                    mapping.clear()
                 shard.hits = 0
                 shard.misses = 0
         with self._reg_lock:
@@ -358,7 +387,11 @@ class LabeledSpaceCache:
         total = 0
         for shard in self._shards:
             with shard.lock:
-                entries = list(shard.entries.values())
+                entries = [
+                    entry
+                    for table in shard.spaces.values()
+                    for entry in table.values()
+                ]
                 mask_values = list(shard.masks.values())
             for entry in entries:
                 total += entry.labels_initial.nbytes
@@ -381,7 +414,7 @@ class LabeledSpaceCache:
         n_entries = n_masks = 0
         for shard in self._shards:
             with shard.lock:
-                n_entries += len(shard.entries)
+                n_entries += sum(len(t) for t in shard.spaces.values())
                 n_masks += len(shard.masks)
         with self._reg_lock:
             datasets = len(self._by_dataset)
@@ -400,43 +433,48 @@ class LabeledSpaceCache:
     # ------------------------------------------------------------------
     # Cached computations
     # ------------------------------------------------------------------
-    def _publish_many(self, table: str, items: dict) -> dict:
-        """Check-then-publish ``{key: value}``; every key starts with its
+    def _publish(self, table: str, key: tuple, value):
+        """Check-then-publish one table slot; *key* starts with its
         dataset token.
 
-        One lock round-trip per shard touched and one registration per
-        dataset.  Returns ``{key: winning value}``.
+        ``masks`` slots take *value* whole; ``spaces`` and
+        ``norm_means`` slots are per-attribute dicts into which *value*
+        (a dict) is merged.  First writer wins per slot or attribute; the
+        winning value (or dict of winners) is returned.  A slot created
+        for a dataset evicted between compute and publish is withdrawn
+        again, so no orphan outlives its dataset.
         """
-        by_shard: Dict[int, list] = {}
-        for key in items:
-            by_shard.setdefault(hash(key) % _N_SHARDS, []).append(key)
-        winners = dict(items)
-        fresh: Dict[int, list] = {}
-        for index, keys in by_shard.items():
-            shard = self._shards[index]
-            mapping = getattr(shard, table)
-            with shard.lock:
-                for key in keys:
-                    existing = mapping.get(key)
-                    if existing is not None:
-                        winners[key] = existing
-                    else:
-                        mapping[key] = items[key]
-                        fresh.setdefault(key[0], []).append(key)
-        for token, keys in fresh.items():
-            if not self._register(token, table, keys):
-                # the dataset was evicted between compute and publish: keep
-                # the values for the caller but leave no orphans behind
-                for key in keys:
-                    shard = self._shard_of(key)
-                    with shard.lock:
-                        getattr(shard, table).pop(key, None)
+        shard = self._shard_of(key)
+        mapping = getattr(shard, table)
+        with shard.lock:
+            slot = mapping.get(key)
+            created = slot is None
+            if table == "masks":
+                if created:
+                    mapping[key] = value
+                    slot = value
+                winners = slot
+            else:
+                if created:
+                    slot = mapping[key] = {}
+                winners = {
+                    attr: slot.setdefault(attr, item)
+                    for attr, item in value.items()
+                }
+        if created:
+            with self._reg_lock:
+                members = self._by_dataset.get(key[0])
+                if members is not None:
+                    members.add((table, key))
+            if members is None:
+                with shard.lock:
+                    if mapping.get(key) is slot:
+                        del mapping[key]
         return winners
 
     def masks(self, dataset, spec) -> Tuple[np.ndarray, np.ndarray]:
         """The (abnormal, normal) row masks of *spec* on *dataset*."""
-        token = self._token(dataset)
-        key = (token, _spec_key(spec))
+        key = (self._token(dataset), _spec_key(spec))
         shard = self._shard_of(key)
         cached = shard.masks.get(key)  # lock-free hit path
         if cached is not None:
@@ -445,8 +483,7 @@ class LabeledSpaceCache:
             return cached
         shard.misses += 1
         _CACHE_MISSES.inc()
-        computed = spec.masks(dataset)
-        return self._publish_many("masks", {key: computed})[key]
+        return self._publish("masks", key, spec.masks(dataset))
 
     def entries(
         self,
@@ -465,9 +502,13 @@ class LabeledSpaceCache:
     ) -> List[Dict[str, LabeledAttribute]]:
         """:meth:`entries` for many ``(dataset, spec, attrs)`` requests.
 
-        The missing numeric attributes of every request are labeled
-        together: one :func:`~repro.perf.batch.label_rows_batch` call per
-        row count, each row with its own anomaly's region masks.
+        Each request reads one table, keyed ``(dataset token, spec key,
+        n_partitions)``, with one dict lookup per attribute.  An
+        attribute named more than once in a request is labeled once and
+        its repeats count as hits.  The missing numeric attributes of
+        every request are labeled together: one
+        :func:`~repro.perf.batch.label_rows_batch` call per row count,
+        each row with its own anomaly's region masks.
         """
         from repro.core.partition import (
             CategoricalPartitionSpace,
@@ -475,92 +516,82 @@ class LabeledSpaceCache:
         )
         from repro.perf.batch import label_rows_batch
 
+        n = int(n_partitions)
         results: List[Dict[str, LabeledAttribute]] = []
-        # row count -> [(found, token, skey, dataset, attrs, masks)]
+        # row count -> [(found, dataset, attrs, abnormal, normal)]
         groups: Dict[int, list] = {}
-        # (found, token, skey, attrs) whose computed entries await publishing
+        # (found, table key, {attr: computed entry}) awaiting publication
         fresh: List[tuple] = []
         for dataset, spec, attrs in requests:
-            token = self._token(dataset)
-            skey = _spec_key(spec)
+            key = (self._token(dataset), _spec_key(spec), n)
+            shard = self._shard_of(key)
+            table = shard.spaces.get(key, _NO_TABLE)  # lock-free
             found: Dict[str, LabeledAttribute] = {}
             results.append(found)
+            wanted = dict.fromkeys(attrs)
+            n_hits = len(attrs) - len(wanted)
             missing_numeric: List[str] = []
-            missing_categorical: List[str] = []
-            n_hits = 0
-            for attr in attrs:
-                key = (token, skey, attr, int(n_partitions))
-                entry = self._shard_of(key).entries.get(key)  # lock-free
+            computed: Dict[str, LabeledAttribute] = {}
+            for attr in wanted:
+                entry = table.get(attr)
                 if entry is not None:
-                    n_hits += 1
                     found[attr] = entry
                 elif dataset.is_numeric(attr):
                     missing_numeric.append(attr)
                 else:
-                    missing_categorical.append(attr)
+                    computed[attr] = None  # type: ignore[assignment]
+            n_missing = len(missing_numeric) + len(computed)
+            n_hits += len(found)
             if n_hits:
                 # batch the counter updates: one inc per request, not per attr
-                self._shard_of((token, skey)).hits += n_hits
+                shard.hits += n_hits
                 _CACHE_HITS.inc(n_hits)
-            if not (missing_numeric or missing_categorical):
+            if not n_missing:
                 continue
-            n_missing = len(missing_numeric) + len(missing_categorical)
-            self._shard_of((token, skey)).misses += n_missing
+            shard.misses += n_missing
             _CACHE_MISSES.inc(n_missing)
             abnormal, normal = self.masks(dataset, spec)
-            if missing_numeric:
-                groups.setdefault(abnormal.shape[0], []).append(
-                    (found, token, skey, dataset, missing_numeric,
-                     abnormal, normal)
-                )
-            for attr in missing_categorical:
+            for attr in computed:
                 values = dataset.column(attr)
                 space = CategoricalPartitionSpace(attr, values)
                 labels = space.label(values, abnormal, normal)
-                found[attr] = LabeledAttribute(attr, False, space, labels)
-            fresh.append((found, token, skey, missing_categorical))
+                computed[attr] = LabeledAttribute(attr, False, space, labels)
+            if missing_numeric:
+                groups.setdefault(abnormal.shape[0], []).append(
+                    (computed, dataset, missing_numeric, abnormal, normal)
+                )
+            fresh.append((found, key, computed))
         for group in groups.values():
             matrix = np.stack(
                 [
                     dataset.column(attr)
-                    for _, _, _, dataset, attrs, _, _ in group
+                    for _, dataset, attrs, _, _ in group
                     for attr in attrs
                 ]
             )
             # each row labels with its own anomaly's region masks
-            counts = [len(item[4]) for item in group]
+            counts = [len(item[2]) for item in group]
             abnormal, normal = (
                 np.repeat(np.stack([item[k] for item in group]), counts, axis=0)
-                for k in (5, 6)
+                for k in (3, 4)
             )
             mins, maxs, labels = label_rows_batch(
                 matrix, abnormal, normal, n_partitions
             )
             mins, maxs = mins.tolist(), maxs.tolist()
             row = 0
-            for found, token, skey, _, attrs, _, _ in group:
+            for computed, _, attrs, _, _ in group:
                 for attr in attrs:
                     space = NumericPartitionSpace.from_stats(
                         attr, mins[row], maxs[row], n_partitions
                     )
-                    found[attr] = LabeledAttribute(
+                    computed[attr] = LabeledAttribute(
                         attr, True, space,
                         labels[row, : space.n_partitions].copy(),
                     )
                     row += 1
-                fresh.append((found, token, skey, attrs))
-        n = int(n_partitions)
-        winners = self._publish_many(
-            "entries",
-            {
-                (token, skey, attr, n): found[attr]
-                for found, token, skey, attrs in fresh
-                for attr in attrs
-            },
-        )
-        for found, token, skey, attrs in fresh:
-            for attr in attrs:
-                found[attr] = winners[(token, skey, attr, n)]
+        for found, key, computed in fresh:
+            found.update(self._publish("spaces", key, computed))
         return results
 
     def peek_norm_means(
@@ -573,12 +604,11 @@ class LabeledSpaceCache:
         prefetches a whole attribute list this way and computes the
         residue in one batch (:meth:`publish_normalized_means`).
         """
-        token = id(dataset)
-        skey = _spec_key(spec)
+        key = (self._token(dataset), _spec_key(spec))
+        table = self._shard_of(key).norm_means.get(key, _NO_TABLE)
         found: Dict[str, Tuple[float, float]] = {}
         for attr in attrs:
-            key = (token, skey, attr)
-            means = self._shard_of(key).norm_means.get(key)
+            means = table.get(attr)
             if means is not None:
                 found[attr] = means
         return found
@@ -592,14 +622,14 @@ class LabeledSpaceCache:
         normalize_values(column), abnormal, normal)`` of
         :mod:`repro.core.separation`, which Equation 2 runs on rows (so the
         key has no ``n_partitions``).  Counts one miss per pair; first
-        writer wins per key.
+        writer wins per attribute.
         """
-        items = {}
         for dataset, spec, means in requests:
-            token = self._token(dataset)
-            skey = _spec_key(spec)
-            self._shard_of((token, skey)).misses += len(means)
+            key = (self._token(dataset), _spec_key(spec))
+            self._shard_of(key).misses += len(means)
             _CACHE_MISSES.inc(len(means))
-            for attr, pair in means.items():
-                items[(token, skey, attr)] = tuple(pair)
-        self._publish_many("norm_means", items)
+            self._publish(
+                "norm_means",
+                key,
+                {attr: tuple(pair) for attr, pair in means.items()},
+            )

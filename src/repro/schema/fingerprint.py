@@ -9,7 +9,10 @@ name — so a model trained against one collector schema can be matched
 against data from another.
 
 Fingerprints are computed once per attribute at model-building time
-(:func:`fingerprint_attributes`), persisted alongside the causal model
+(:func:`fingerprint_attributes`, which sketches every NaN-free numeric
+column of one call in a single quantile pass — the path of
+``DBSherlock.feedback``, ``harness.build_model`` and the reconciler's
+data side), persisted alongside the causal model
 (``core/persistence.py``), and compared at diagnosis time by the
 :class:`~repro.schema.reconcile.SchemaReconciler`:
 
@@ -192,19 +195,51 @@ def fingerprint_attributes(
 ) -> Dict[str, AttributeFingerprint]:
     """Fingerprint the named attributes of *dataset* (default: all).
 
-    Attributes absent from the dataset are silently skipped, so callers
-    can pass a model's attribute list directly.
+    Attributes absent from the dataset are silently skipped and repeats
+    are fingerprinted once, so callers can pass a model's attribute list
+    directly; the result follows the order of first mention.  The
+    NaN-free numeric columns are sketched together — one
+    ``np.quantile(..., axis=1)`` plus one min and one max over their
+    stacked matrix, each row bitwise-equal to
+    :meth:`AttributeFingerprint.from_values` on that column; columns
+    with NaN and categorical columns take :meth:`~AttributeFingerprint.
+    from_values` one at a time.
     """
     if attrs is None:
         attrs = dataset.attributes
-    out: Dict[str, AttributeFingerprint] = {}
-    for attr in attrs:
-        if attr not in dataset or attr in out:
-            continue
-        out[attr] = AttributeFingerprint.from_values(
-            attr, dataset.column(attr), dataset.is_numeric(attr)
+    names = [attr for attr in dict.fromkeys(attrs) if attr in dataset]
+    numeric = [attr for attr in names if dataset.is_numeric(attr)]
+    out: Dict[str, Optional[AttributeFingerprint]] = dict.fromkeys(names)
+    if numeric and dataset.n_rows:
+        matrix = np.asarray(
+            np.stack([dataset.column(attr) for attr in numeric]),
+            dtype=np.float64,
         )
-    return out
+        clean = ~np.isnan(matrix).any(axis=1)
+        if clean.any():
+            sketched = matrix[clean]
+            quantiles = np.quantile(
+                sketched, np.linspace(0.0, 1.0, N_QUANTILES), axis=1
+            ).T.tolist()
+            lows = sketched.min(axis=1).tolist()
+            highs = sketched.max(axis=1).tolist()
+            n_samples = int(matrix.shape[1])
+            batched = [attr for attr, ok in zip(numeric, clean) if ok]
+            for attr, qs, lo, hi in zip(batched, quantiles, lows, highs):
+                out[attr] = AttributeFingerprint(
+                    name=attr,
+                    kind="numeric",
+                    n_samples=n_samples,
+                    lo=lo,
+                    hi=hi,
+                    quantiles=tuple(qs),
+                )
+    for attr, fingerprint in out.items():
+        if fingerprint is None:
+            out[attr] = AttributeFingerprint.from_values(
+                attr, dataset.column(attr), dataset.is_numeric(attr)
+            )
+    return out  # type: ignore[return-value]
 
 
 # ----------------------------------------------------------------------

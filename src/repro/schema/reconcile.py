@@ -352,29 +352,24 @@ def rank_with_reconciliation(
     the no-evidence 0.0, listed in ``abstained``) instead of reporting a
     confidence computed from a sliver of its evidence.
     """
+    from repro.core.causal import rank_by_confidence
+
     models = list(models)
     report = reconciler.reconcile(collect_fingerprints(models), dataset)
     target = report.apply(dataset)
-    scored: List[Tuple[str, float]] = []
-    abstained: List[str] = []
-    for model in models:
-        if model.predicates and (
-            report.coverage(model.attributes) < coverage_floor
-        ):
-            abstained.append(model.cause)
-            continue
-        scored.append(
-            (
-                model.cause,
-                model.confidence(
-                    target,
-                    spec,
-                    n_partitions,
-                    apply_filtering,
-                    cache=cache,
-                ),
-            )
-        )
-    scored.sort(key=lambda item: item[1], reverse=True)
+    abstains = [
+        bool(model.predicates)
+        and report.coverage(model.attributes) < coverage_floor
+        for model in models
+    ]
+    scored = rank_by_confidence(
+        [model for model, out in zip(models, abstains) if not out],
+        target,
+        spec,
+        n_partitions,
+        apply_filtering,
+        cache,
+    )
+    abstained = [model.cause for model, out in zip(models, abstains) if out]
     scored.extend((cause, 0.0) for cause in abstained)
     return RankResult(scores=scored, abstained=abstained, report=report)

@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from repro.core.causal import CausalModel, CausalModelStore, model_confidence
+from repro.core.causal import (
+    CausalModel,
+    CausalModelStore,
+    model_confidence,
+    score_models,
+)
 from repro.core.generator import GeneratorConfig, PredicateGenerator
 from repro.core.partition import (
     CategoricalPartitionSpace,
@@ -27,6 +32,7 @@ from repro.perf.cache import LabeledSpaceCache
 from repro.core.filtering import abnormal_blocks, fill_gaps, filter_partitions
 from repro.perf.parallel import parallel_map, resolve_jobs
 from tests.generator_oracle import (
+    _golden_predicate_on_partitions,
     golden_abnormal_blocks,
     golden_fill_gaps,
     golden_filter_partitions,
@@ -503,6 +509,191 @@ class TestConfidenceEquivalence:
         )
 
 
+# ----------------------------------------------------------------------
+# Eq. 3 kernel: one pass over every model equals per-predicate terms
+# ----------------------------------------------------------------------
+_KERNEL_NUMERIC = (
+    "step", "drop", "grid", "constant", "normal_gone", "abnormal_gone"
+)
+
+
+def _kernel_dataset(seed, n_rows, start, length):
+    """Numeric and categorical columns, some with an empty region."""
+    rng = np.random.default_rng(seed)
+    timestamps = np.arange(n_rows, dtype=float)
+    abnormal = (timestamps >= start) & (timestamps <= start + length - 1)
+    step = rng.normal(0.0, 1.0, n_rows)
+    step[abnormal] += rng.uniform(-6.0, 6.0)
+    drop = rng.normal(0.0, 3.0, n_rows)  # other region sizes than step
+    drop[abnormal] -= rng.uniform(0.0, 20.0)
+    normal_gone = rng.normal(5.0, 1.0, n_rows)
+    normal_gone[~abnormal] = np.nan  # no Normal partitions
+    abnormal_gone = rng.normal(5.0, 1.0, n_rows)
+    abnormal_gone[abnormal] = np.nan  # no Abnormal partitions
+    modes = np.where(abnormal, "spike", "steady").astype(object)
+    modes[rng.random(n_rows) < 0.1] = "other"
+    return Dataset(
+        timestamps,
+        numeric={
+            "step": step,
+            "drop": drop,
+            "grid": rng.integers(0, 6, n_rows).astype(float),
+            "constant": np.full(n_rows, 2.5),
+            "normal_gone": normal_gone,
+            "abnormal_gone": abnormal_gone,
+        },
+        categorical={"mode": modes},
+    ), RegionSpec.from_bounds([(start, start + length - 1)])
+
+
+@st.composite
+def _kernel_predicate(draw, dataset, n_partitions):
+    """gt / lt / range / categorical predicates, bounds often equal to a
+    partition representative (the strict-inequality edge), NaN or
+    infinite."""
+    attr = draw(st.sampled_from(_KERNEL_NUMERIC + ("mode", "absent")))
+    if attr == "mode" or draw(st.integers(0, 9)) == 0:
+        return CategoricalPredicate.of(
+            attr,
+            draw(st.sets(st.sampled_from(["spike", "steady", "other"]),
+                         min_size=1)),
+        )
+    if attr in dataset:
+        space = NumericPartitionSpace(
+            attr, dataset.column(attr), n_partitions
+        )
+        representative = st.integers(0, space.n_partitions - 1).map(
+            space.midpoint
+        )
+    else:
+        representative = st.floats(-10.0, 10.0)
+    bound = st.one_of(
+        representative,
+        st.floats(-10.0, 10.0),
+        st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    )
+    kind = draw(st.sampled_from(["gt", "lt", "range"]))
+    if kind == "gt":
+        return NumericPredicate(attr, lower=draw(bound))
+    if kind == "lt":
+        return NumericPredicate(attr, upper=draw(bound))
+    lower, upper = draw(bound), draw(bound)
+    if lower > upper:
+        lower, upper = upper, lower
+    if lower == upper:
+        return NumericPredicate(attr, lower=lower)
+    return NumericPredicate(attr, lower=lower, upper=upper)
+
+
+def _golden_terms(predicates, dataset, spec, n_partitions, apply_filtering):
+    terms = []
+    for predicate in predicates:
+        term = _golden_predicate_on_partitions(
+            predicate, dataset, spec, n_partitions, apply_filtering
+        )
+        terms.append(0.0 if term is None else term)
+    return terms
+
+
+class TestEquationThreeKernel:
+    """``score_models`` equals the seed's per-predicate Eq. 3, bitwise."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_rows=st.integers(24, 90),
+        span=st.tuples(st.floats(0.1, 0.6), st.floats(0.1, 0.4)),
+        n_partitions=st.sampled_from([7, 40, 250]),
+        apply_filtering=st.booleans(),
+        data=st.data(),
+    )
+    def test_scores_equal_in_order_golden_terms(
+        self, seed, n_rows, span, n_partitions, apply_filtering, data
+    ):
+        start = int(span[0] * n_rows)
+        length = max(2, int(span[1] * n_rows))
+        dataset, spec = _kernel_dataset(seed, n_rows, start, length)
+        predicate = _kernel_predicate(dataset, n_partitions)
+        models = data.draw(
+            # past 8 terms np.sum would reassociate: in order is required
+            st.lists(st.lists(predicate, max_size=12), max_size=5)
+        )
+        shared = LabeledSpaceCache()
+        for cache in (None, shared, shared):  # private, cold, warm
+            got = score_models(
+                models, dataset, spec, n_partitions, apply_filtering, cache
+            )
+            assert len(got.confidences) == len(models)
+            for m, predicates in enumerate(models):
+                terms = _golden_terms(
+                    predicates, dataset, spec, n_partitions, apply_filtering
+                )
+                total = 0.0
+                for term in terms:
+                    total += term
+                want = total / len(terms) if terms else 0.0
+                assert [t.hex() for t in got.terms[m]] == [
+                    t.hex() for t in terms
+                ], predicates
+                assert got.confidences[m].hex() == want.hex(), predicates
+                event("empty model" if not predicates else "model")
+
+    def test_long_models_add_their_terms_in_predicate_order(self):
+        # 16 diverse terms: a reassociating sum (np.sum's pairwise blocks)
+        # moves the last bit on most seeds, the in-order loop must not
+        spec = RegionSpec.from_bounds([(50, 79)])
+        abnormal = (np.arange(120) >= 50) & (np.arange(120) < 80)
+        reassociation_differs = False
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            columns, predicates = {}, []
+            for i in range(16):
+                values = rng.normal(0.0, 1.0 + i, 120)
+                values[abnormal] += rng.uniform(-3.0, 3.0) * (1.0 + i)
+                columns[f"m{i}"] = values
+                space = NumericPartitionSpace(f"m{i}", values, 250)
+                predicates.append(NumericPredicate(
+                    f"m{i}", lower=space.midpoint(int(rng.integers(0, 250)))
+                ))
+            dataset = Dataset(np.arange(120, dtype=float), numeric=columns)
+            terms = _golden_terms(predicates, dataset, spec, 250, True)
+            total = 0.0
+            for term in terms:
+                total += term
+            reassociation_differs |= total != float(np.sum(terms))
+            got = score_models([predicates], dataset, spec)
+            assert got.confidences[0].hex() == (total / len(terms)).hex()
+        assert reassociation_differs
+
+    def test_term_matrix_sums_to_all_cause_scores(self):
+        from repro.core.explain import DBSherlock
+
+        sherlock = DBSherlock()
+        for seed in (3, 4, 5):
+            teach = _synthetic_dataset(seed=seed)
+            sherlock.feedback(
+                f"cause {seed}", sherlock.explain(teach, SPEC), teach
+            )
+        sherlock.store.add(
+            CausalModel("decoy", [NumericPredicate("noise", lower=0.5),
+                                  NumericPredicate("ghost", upper=1.0)])
+        )
+        dataset = _synthetic_dataset(seed=21)
+        explanation = sherlock.explain(dataset, SPEC)
+        models = list(sherlock.store)
+        scores = score_models(
+            [model.predicates for model in models], dataset, SPEC,
+            sherlock.config.n_partitions, cache=sherlock.cache,
+        )
+        reported = dict(explanation.all_cause_scores)
+        assert len(reported) == len(models)
+        for model, terms in zip(models, scores.terms):
+            total = 0.0
+            for term in terms:  # predicate order
+                total += term
+            assert (total / len(terms)).hex() == reported[model.cause].hex()
+
+
 class TestLabeledSpaceCache:
     def test_hit_and_miss_counters(self):
         ds = _synthetic_dataset()
@@ -611,6 +802,25 @@ class TestLabeledSpaceCache:
                     )
                     assert np.array_equal(got[0], reps[labels == 2]), attr
                     assert np.array_equal(got[1], reps[labels == 1]), attr
+
+    def test_peek_norm_means_ignores_a_dead_datasets_reused_id(self):
+        # a new dataset that lands on a dead one's id must not read the
+        # dead one's θ-gate means (the lookup goes through the token)
+        cache = LabeledSpaceCache()
+        timestamps = np.arange(12, dtype=float)
+        column = np.arange(12, dtype=float)
+        spec = RegionSpec.from_bounds([(4, 7)])
+        for _ in range(50):
+            dead = Dataset(timestamps, numeric={"a": column})
+            cache.publish_normalized_means([(dead, spec, {"a": (0.1, 0.2)})])
+            dead_id = id(dead)
+            del dead
+            reborn = Dataset(timestamps, numeric={"a": column})
+            if id(reborn) == dead_id:
+                break
+        else:
+            pytest.skip("the allocator never reused a dataset's id")
+        assert cache.peek_norm_means(reborn, spec, ["a"]) == {}
 
     def test_garbage_collected_dataset_is_evicted(self):
         import gc
@@ -934,6 +1144,55 @@ class TestShardedCacheConcurrency:
         stats = cache.stats()
         assert stats["entries"] == len(datasets) * 3
         assert stats["datasets"] == len(datasets)
+
+    def test_overlapping_requests_merge_into_one_table(self):
+        # threads publish different attribute subsets of the same
+        # (dataset, spec, n) table while others read it lock-free: no
+        # attribute may be lost or published twice
+        import sys
+        import threading
+
+        cache = LabeledSpaceCache()
+        datasets = [_synthetic_dataset(seed=s) for s in range(3)]
+        attrs = ["step", "drop", "noise", "mode"]
+        n_threads = 8
+        results = [{} for _ in range(n_threads)]
+        errors = []
+        barrier = threading.Barrier(n_threads)
+
+        def worker(k):
+            try:
+                barrier.wait()
+                for ds in datasets:
+                    wanted = attrs[k % 4:] + attrs[: k % 4 - 1]
+                    for attr, entry in cache.entries(
+                        ds, SPEC, wanted, 250
+                    ).items():
+                        results[k][(id(ds), attr)] = entry
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(k,))
+                for k in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        winners = {}
+        for found in results:
+            for key, entry in found.items():
+                assert winners.setdefault(key, entry) is entry, key
+        assert len(winners) == len(datasets) * len(attrs)
+        assert cache.stats()["entries"] == len(datasets) * len(attrs)
 
     def test_gc_pressure_does_not_race_eviction(self):
         """The historical failure: a dataset's weakref callback mutating the

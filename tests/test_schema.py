@@ -410,6 +410,124 @@ class TestFingerprintPersistence:
 
 
 # ---------------------------------------------------------------------------
+# Batched fingerprints: one quantile pass, bitwise-equal per column
+# ---------------------------------------------------------------------------
+def _fingerprint_one_at_a_time(dataset, attrs):
+    """The per-column path: one ``from_values`` per distinct present name."""
+    out = {}
+    for attr in attrs:
+        if attr in dataset and attr not in out:
+            out[attr] = AttributeFingerprint.from_values(
+                attr, dataset.column(attr), dataset.is_numeric(attr)
+            )
+    return out
+
+
+def _hex(value):
+    return None if value is None else float(value).hex()
+
+
+def _assert_fingerprints_bitwise_equal(got, want):
+    assert list(got) == list(want)  # same names, same order
+    for attr, fp in want.items():
+        other = got[attr]
+        assert other.name == fp.name and other.kind == fp.kind, attr
+        assert other.n_samples == fp.n_samples, attr
+        assert _hex(other.lo) == _hex(fp.lo), attr
+        assert _hex(other.hi) == _hex(fp.hi), attr
+        if fp.quantiles is None:
+            assert other.quantiles is None, attr
+        else:
+            assert [q.hex() for q in other.quantiles] == [
+                q.hex() for q in fp.quantiles
+            ], attr
+        assert other.domain == fp.domain, attr
+
+
+_COLUMN_KINDS = ("noise", "nan", "all_nan", "constant", "signed_zero",
+                 "categorical")
+
+
+def _fingerprint_dataset(seed, n_rows, kinds):
+    rng = np.random.default_rng(seed)
+    numeric, categorical = {}, {}
+    for i, kind in enumerate(kinds):
+        name = f"{kind}_{i}"
+        if kind == "categorical":
+            categorical[name] = np.array(
+                rng.choice(["ok", "slow", "stuck"], n_rows), dtype=object
+            )
+            continue
+        values = rng.normal(0.0, 10.0 ** rng.integers(-3, 6), n_rows)
+        if kind == "nan":
+            values[rng.random(n_rows) < 0.3] = np.nan
+        elif kind == "all_nan":
+            values[:] = np.nan
+        elif kind == "constant":
+            values[:] = values[0]
+        elif kind == "signed_zero":
+            values = np.where(rng.random(n_rows) < 0.5, 0.0, -0.0)
+        numeric[name] = values
+    return Dataset(
+        np.arange(n_rows, dtype=float), numeric=numeric,
+        categorical=categorical,
+    )
+
+
+class TestBatchedFingerprints:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_rows=st.integers(1, 80),
+        kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1,
+                       max_size=8),
+        data=st.data(),
+    )
+    def test_equals_per_column_fingerprints(self, seed, n_rows, kinds, data):
+        dataset = _fingerprint_dataset(seed, n_rows, kinds)
+        names = dataset.attributes + ["absent.metric"]
+        # repeats, absent names and a shuffled order
+        attrs = data.draw(
+            st.lists(st.sampled_from(names), max_size=2 * len(names))
+        )
+        _assert_fingerprints_bitwise_equal(
+            fingerprint_attributes(dataset, attrs),
+            _fingerprint_one_at_a_time(dataset, attrs),
+        )
+        _assert_fingerprints_bitwise_equal(
+            fingerprint_attributes(dataset),
+            _fingerprint_one_at_a_time(dataset, dataset.attributes),
+        )
+
+    def test_saved_store_bytes_unchanged(self, tmp_path):
+        data = make_dataset()
+        noisy = data.column("os.disk_read").copy()
+        noisy[::7] = np.nan
+        data = Dataset(
+            data.timestamps,
+            numeric={
+                **{a: data.column(a) for a in data.numeric_attributes},
+                "os.disk_write": noisy,
+            },
+            categorical={"db.state": data.column("db.state")},
+        )
+        attrs = ["db.state", "os.disk_write", "os.cpu_user", "ghost",
+                 "os.cpu_user", "db.lock_waits"]
+        predicates = [NumericPredicate("os.cpu_user", lower=1.0)]
+        payloads = []
+        for fingerprints in (
+            _fingerprint_one_at_a_time(data, attrs),
+            fingerprint_attributes(data, attrs),
+        ):
+            store = CausalModelStore()
+            store.add(CausalModel("X", predicates, fingerprints=fingerprints))
+            path = tmp_path / f"models{len(payloads)}.json"
+            save_store(store, path)
+            payloads.append(path.read_bytes())
+        assert payloads[0] == payloads[1]
+
+
+# ---------------------------------------------------------------------------
 # DBSherlock facade: graceful degradation end-to-end
 # ---------------------------------------------------------------------------
 class TestFacadeDegradation:
