@@ -9,6 +9,7 @@ on a shared 1-D timestamp vector.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ class Dataset:
         1-D array of sample times (seconds).  Must be strictly increasing.
     numeric:
         Mapping of attribute name to a 1-D float array, one value per
-        timestamp.
+        timestamp.  NaN and ±inf are both missing cells (stored as NaN).
     categorical:
         Mapping of attribute name to a 1-D array of category labels
         (strings), one value per timestamp.
@@ -49,8 +50,11 @@ class Dataset:
 
         self._numeric: Dict[str, np.ndarray] = {}
         self._categorical: Dict[str, np.ndarray] = {}
-        for attr, values in (numeric or {}).items():
-            self._add_numeric(attr, values)
+        # a huge finite value may overflow _add_numeric's sum of squares;
+        # that is expected there, not worth a warning
+        with np.errstate(over="ignore"):
+            for attr, values in (numeric or {}).items():
+                self._add_numeric(attr, values)
         for attr, values in (categorical or {}).items():
             self._add_categorical(attr, values)
 
@@ -69,6 +73,14 @@ class Dataset:
             raise ValueError(f"duplicate attribute name: {attr!r}")
         arr = np.asarray(values, dtype=np.float64)
         self._check_length(attr, arr)
+        # ±inf is a missing cell, as NaN is.  A finite sum of squares
+        # proves every value finite, far cheaper than an elementwise mask;
+        # a NaN or an overflow only sends the column to the exact test.
+        # The caller's array is never written.
+        if not math.isfinite(arr.dot(arr)):
+            inf = np.isinf(arr)
+            if inf.any():
+                arr = np.where(inf, np.nan, arr)
         self._numeric[attr] = arr
 
     def _add_categorical(self, attr: str, values: Sequence[str]) -> None:

@@ -1,5 +1,7 @@
 """Unit tests for the Dataset container."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,51 @@ class TestConstruction:
 
     def test_repr_mentions_counts(self):
         assert "numeric=2" in repr(make_dataset())
+
+
+class TestNonFiniteCells:
+    """±inf is a missing cell at intake, exactly as NaN is."""
+
+    def test_infinite_cells_become_nan_without_touching_the_input(self):
+        values = np.array([1.0, np.inf, 2.0, -np.inf, np.nan])
+        before = values.copy()
+        ds = Dataset(np.arange(5.0), numeric={"a": values})
+        np.testing.assert_array_equal(
+            ds.column("a"), [1.0, np.nan, 2.0, np.nan, np.nan]
+        )
+        np.testing.assert_array_equal(values, before)
+
+    def test_finite_columns_are_kept_as_given(self):
+        values = np.array([1e200, -1e200, 3.0])  # overflows the cheap test
+        nan_values = np.array([1.0, np.nan, 2.0])
+        with np.errstate(over="raise"):
+            ds = Dataset(
+                np.arange(3.0), numeric={"a": values, "n": nan_values}
+            )
+        assert ds.column("a") is values
+        assert ds.column("n") is nan_values
+
+    def test_an_infinite_sample_does_not_drop_its_attribute(self):
+        from repro import DBSherlock
+        from repro.data.regions import RegionSpec
+
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=60)
+        a[30:40] += 8
+        b, c = a.copy(), a.copy()
+        b[5], c[5] = np.inf, np.nan
+        ds = Dataset(np.arange(60.0), numeric={"a": a, "b": b, "c": c})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            explanation = DBSherlock().explain(
+                ds, RegionSpec.from_bounds([(30, 39)])
+            )
+        assert [str(p) for p in explanation.predicates] == [
+            "a > 6.37177",
+            "b > 6.37177",
+            "c > 6.37177",
+        ]
+        assert b[5] == np.inf
 
 
 class TestFromRows:

@@ -33,6 +33,5 @@ def test_expected_examples_present():
         "dba_workflow.py",
         "auto_detection.py",
         "telemetry_export.py",
-        "auto_remediation.py",
         "workload_drift.py",
     } <= set(EXAMPLES)

@@ -13,7 +13,9 @@ Three layers under test, bottom-up:
 * the durability policy (:mod:`repro.stream.durability`) — transient
   errors are retried, full-disk/fatal errors degrade the tenant into
   acknowledged-but-volatile mode, and a healed disk drains the buffer
-  and re-promotes without losing or duplicating a tick.
+  and re-promotes without losing or duplicating a tick — also under
+  random fault, checkpoint and crash schedules (a hypothesis state
+  machine).
 
 Plus the two "sick disk must not abort the diagnosis" paths: the alias
 table and the health journal swallow write faults, keep their in-memory
@@ -22,8 +24,21 @@ state, and report through ``repro_storage_write_errors_total``.
 
 import errno
 import json
+import os
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.faults import fs as fsmod
 from repro.faults.fs import (
@@ -34,6 +49,8 @@ from repro.faults.fs import (
     StorageShim,
     TornRename,
 )
+from repro.fleet import recovery
+from repro.fleet.engine import FleetDetector
 from repro.fleet.health import HealthTracker, read_health_journal
 from repro.schema.aliases import AliasStore
 from repro.stream.durability import (
@@ -585,6 +602,191 @@ class TestTenantDurability:
         fault.heal()
         assert managed.flush_volatile() == 0
         assert len(managed.wal.replay()) == 3
+
+
+# ---------------------------------------------------------------------------
+# Random schedules: at-most-once appends, no acknowledged tick lost
+# ---------------------------------------------------------------------------
+class DurableWALMachine(RuleBasedStateMachine):
+    """One tenant's durability manager under random faults and crashes.
+
+    The model knows only what the API acknowledged: an append that
+    returned True with ``fsync_every=1``, a ``flush()`` that returned
+    True, or a degraded → durable re-promotion (the probe ends in an
+    fsync) makes every tick acknowledged so far durable.  A crash drops
+    the page cache (the active segment is cut back to its last fsynced
+    offset) and reloads through ``recovery.load_tenant``.
+    """
+
+    @initialize(
+        fsync_every=st.integers(1, 3),
+        # the retry paths hold the at-most-once logic; 0 is listed last
+        # so that generation does not spend half its examples without them
+        max_retries=st.sampled_from([2, 1, 0]),
+        probe_every=st.integers(1, 3),
+        segment_bytes=st.sampled_from([256, 1 << 20]),
+        flaky_rate=st.sampled_from([0.5, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def build(
+        self,
+        fsync_every,
+        max_retries,
+        probe_every,
+        segment_bytes,
+        flaky_rate,
+        seed,
+    ):
+        self.root = Path(tempfile.mkdtemp(prefix="wal-machine-"))
+        self.faults = {
+            "full_disk": FullDisk(),
+            "flaky_write": FlakyIO(flaky_rate, seed=seed, ops=("write",)),
+            "flaky_fsync": FlakyIO(flaky_rate, seed=seed, ops=("fsync",)),
+        }
+        for fault in self.faults.values():
+            fault.active = False
+        self.previous_fs = fsmod.set_fs(StorageShim(self.faults.values()))
+        self.wal_kw = dict(
+            fsync_every=fsync_every, segment_bytes=segment_bytes
+        )
+        self.policy_kw = dict(
+            max_retries=max_retries,
+            backoff_s=0.0,
+            sleep=lambda s: None,
+            probe_every=probe_every,
+        )
+        self.next_time = 0.0
+        #: acknowledged ticks, split by whether a barrier has covered them.
+        self.durable, self.unsure = [], []
+        #: the detector clock the next checkpoint records.
+        self.processed = None
+        #: ``processed_until`` of the last checkpoint known durable, and of
+        #: every attempt since (a refused save may still have landed).
+        self.checkpointed = None
+        self.attempted = {None}
+        self._manage(self._open_wal())
+        assert self.managed.save_checkpoint(recovery.envelope(_STATE, None))
+
+    def _open_wal(self):
+        return TickWAL(self.root / recovery.WAL_NAME, **self.wal_kw)
+
+    def _manage(self, wal):
+        self.managed = TenantDurability(
+            "t0",
+            wal,
+            CheckpointStore(self.root / recovery.CHECKPOINT_NAME),
+            **self.policy_kw,
+        )
+
+    def _barrier(self):
+        self.durable += self.unsure
+        self.unsure = []
+
+    @rule(n=st.integers(1, 8))
+    def append(self, n):
+        for _ in range(n):
+            t, self.next_time = self.next_time, self.next_time + 1.0
+            was_degraded = self.managed.mode == DEGRADED
+            landed = self.managed.append(t, {"cpu": t})
+            self.unsure.append(t)
+            self.processed = t
+            if (was_degraded and self.managed.mode == DURABLE) or (
+                landed and self.wal_kw["fsync_every"] == 1
+            ):
+                self._barrier()
+
+    @rule()
+    def flush(self):
+        if self.managed.flush():
+            self._barrier()
+
+    @rule()
+    def fill_the_disk(self):
+        self.faults["full_disk"].active = True
+
+    @rule()
+    def flake_writes(self):
+        self.faults["flaky_write"].active = True
+
+    @rule()
+    def flake_fsyncs(self):
+        self.faults["flaky_fsync"].active = True
+
+    @rule()
+    def heal(self):
+        for fault in self.faults.values():
+            fault.active = False
+
+    @rule()
+    def checkpoint(self):
+        was_degraded = self.managed.mode == DEGRADED
+        until = self.processed
+        self.attempted.add(until)
+        if self.managed.save_checkpoint(recovery.envelope(_STATE, until)):
+            self.checkpointed = until
+            self.managed.retire_wal(mark=True, max_bytes=1 << 20)
+        elif was_degraded and self.managed.mode == DURABLE:
+            self._barrier()
+
+    @rule()
+    def crash_and_reload(self):
+        wal = self.managed.wal
+        segment, durable_offset = wal.durable_position()
+        wal._fh.close()  # the process dies: no final fsync
+        os.truncate(segment, durable_offset)  # ... and the page cache
+
+        wal = self._open_wal()
+        load = recovery.load_tenant(self.root, "t0", wal=wal)
+        assert load.outcome.status == "recovered", load.outcome
+        assert load.wal_note == ""
+        until = load.processed_until
+        # never an older checkpoint than the last acknowledged one
+        assert until in self.attempted
+        assert _after(until, self.checkpointed) or until == self.checkpointed
+        times = [tick[0] for tick in load.tail]
+        self._assert_holds(times, until)
+
+        self._manage(wal)
+        self.durable, self.unsure = times, []
+        self.processed = times[-1] if times else until
+        self.checkpointed = until
+        self.attempted = {until}
+
+    @invariant()
+    def the_log_holds_each_durable_tick_once(self):
+        times = [tick[0] for tick in self.managed.wal.replay()]
+        self._assert_holds(times, self.checkpointed)
+
+    def _assert_holds(self, times, until):
+        """*times*, a replayed log, never repeats a tick and holds every
+        tick acknowledged durable after *until*."""
+        assert all(a < b for a, b in zip(times, times[1:])), times
+        lost = [t for t in self.durable if _after(t, until) and t not in times]
+        assert not lost, (lost, times)
+
+    def teardown(self):
+        if hasattr(self, "managed"):
+            self.managed.wal.close()
+        if hasattr(self, "previous_fs"):
+            fsmod.set_fs(self.previous_fs)
+        shutil.rmtree(getattr(self, "root", ""), ignore_errors=True)
+
+
+#: the smallest detector state ``load_tenant`` accepts.
+_STATE = {"version": FleetDetector.CHECKPOINT_VERSION}
+
+
+def _after(t, until):
+    return until is None or (t is not None and t > until)
+
+
+def test_durable_wal_appends_are_at_most_once_and_lose_no_acked_tick():
+    run_state_machine_as_test(
+        DurableWALMachine,
+        settings=settings(
+            max_examples=200, stateful_step_count=50, deadline=None
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
