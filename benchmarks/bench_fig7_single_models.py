@@ -13,50 +13,21 @@ hardest (both stress disk I/O).  Bench scale: 4 datasets/cause.
 
 import numpy as np
 
-from _shared import pct, print_table, single_models, suite
-from repro.eval.harness import rank_models
-from repro.eval.metrics import (
-    margin_of_confidence,
-    score_predicates_mean,
-    topk_contains,
-)
+from _shared import pct, print_table, suite
+from repro.eval.harness import evaluate_single_models
 
 PAPER_AVG_MARGIN = 0.135  # "on average 13.5%"
 
 
 def run_experiment():
-    corpus = suite("tpcc")
-    models_by_cause = dict(single_models("tpcc"))
-    rows = []
-    all_margins = []
-    all_top1 = []
-    for cause, runs in corpus.items():
-        margins, f1s, top1 = [], [], []
-        n_models = len(models_by_cause[cause])
-        for model_idx in range(n_models):
-            correct = models_by_cause[cause][model_idx]
-            competitors = [correct] + [
-                other[model_idx % len(other)]
-                for other_cause, other in models_by_cause.items()
-                if other_cause != cause
-            ]
-            for test_idx, run in enumerate(runs):
-                if test_idx == model_idx:
-                    continue
-                scores = rank_models(competitors, run.dataset, run.spec)
-                margins.append(margin_of_confidence(scores, cause))
-                top1.append(topk_contains(scores, cause, 1))
-                f1s.append(
-                    score_predicates_mean(
-                        correct.predicates, run.dataset, run.spec
-                    ).f1
-                )
-        rows.append(
-            (cause, pct(np.mean(margins)), pct(np.mean(f1s)), pct(np.mean(top1)))
-        )
-        all_margins.append(np.mean(margins))
-        all_top1.append(np.mean(top1))
-    return rows, float(np.mean(all_margins)), float(np.mean(all_top1))
+    results = evaluate_single_models(suite("tpcc"))
+    rows = [
+        (r.cause, pct(r.mean_margin), pct(r.mean_f1), pct(r.top1_accuracy))
+        for r in results
+    ]
+    avg_margin = float(np.mean([r.mean_margin for r in results]))
+    avg_top1 = float(np.mean([r.top1_accuracy for r in results]))
+    return rows, avg_margin, avg_top1
 
 
 def test_fig7_single_models(benchmark):

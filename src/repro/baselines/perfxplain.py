@@ -207,19 +207,6 @@ class PerfXplain:
             current_score = best_score
         return chosen
 
-    # ------------------------------------------------------------------
-    def _pair_matches(
-        self, dataset: Dataset, row: int, peer: int, feature: PairFeature
-    ) -> bool:
-        values = dataset.column(feature.attr)
-        return (
-            _relation(
-                float(values[row]), float(values[peer]),
-                self.config.significance,
-            )
-            == feature.relation
-        )
-
     def predict(
         self, dataset: Dataset, seed: Optional[int] = None
     ) -> np.ndarray:

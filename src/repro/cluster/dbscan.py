@@ -25,7 +25,6 @@ from repro.obs import metrics
 __all__ = [
     "DBSCAN",
     "NOISE",
-    "dbscan_labels_batch",
     "dbscan_labels_stacks",
 ]
 
@@ -209,12 +208,6 @@ def dbscan_labels_stacks(
     return labels, eps
 
 
-def dbscan_labels_batch(points: np.ndarray, min_pts: int = 3) -> tuple:
-    """:func:`dbscan_labels_stacks` over one ``(n_sets, n_rows, n_dims)``
-    stack."""
-    return dbscan_labels_stacks([points], min_pts)
-
-
 class DBSCAN:
     """Density-based clustering of one point set.
 
@@ -261,11 +254,3 @@ class DBSCAN:
         self.fit(points)
         assert self.labels_ is not None
         return self.labels_
-
-    def cluster_sizes(self) -> dict:
-        """Mapping of cluster id → size (noise excluded)."""
-        if self.labels_ is None:
-            raise RuntimeError("fit() has not been called")
-        members = self.labels_[self.labels_ != NOISE]
-        ids, counts = np.unique(members, return_counts=True)
-        return {int(i): int(c) for i, c in zip(ids, counts)}

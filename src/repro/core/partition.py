@@ -30,7 +30,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.data.regions import RegionSpec
 
 __all__ = ["Label", "NumericPartitionSpace", "CategoricalPartitionSpace"]
 
@@ -192,16 +191,6 @@ class NumericPartitionSpace:
         space.width = (space.maximum - space.minimum) / space.n_partitions
         return space
 
-    def labeled_from_spec(
-        self, dataset: Dataset, spec: RegionSpec
-    ) -> np.ndarray:
-        """Convenience: label using the spec's region masks on *dataset*."""
-        return self.label(
-            dataset.column(self.attr),
-            spec.abnormal_mask(dataset),
-            spec.normal_mask(dataset),
-        )
-
 
 class CategoricalPartitionSpace:
     """One partition per distinct category value (order is irrelevant)."""
@@ -263,11 +252,3 @@ class CategoricalPartitionSpace:
     def from_dataset(cls, dataset: Dataset, attr: str) -> "CategoricalPartitionSpace":
         """Build the partition space over all rows of *dataset*."""
         return cls(attr, dataset.column(attr))
-
-    def labeled_from_spec(self, dataset: Dataset, spec: RegionSpec) -> np.ndarray:
-        """Convenience: label using the spec's region masks on *dataset*."""
-        return self.label(
-            dataset.column(self.attr),
-            spec.abnormal_mask(dataset),
-            spec.normal_mask(dataset),
-        )

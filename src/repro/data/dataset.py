@@ -10,7 +10,7 @@ on a shared 1-D timestamp vector.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -89,39 +89,6 @@ class Dataset:
         arr = np.asarray(values, dtype=object)
         self._check_length(attr, arr)
         self._categorical[attr] = arr
-
-    @classmethod
-    def from_rows(
-        cls,
-        timestamps: Sequence[float],
-        rows: Sequence[Mapping[str, object]],
-        name: str = "",
-    ) -> "Dataset":
-        """Build a dataset from per-row dictionaries.
-
-        Attribute types are inferred from the first row: ``str`` values
-        become categorical attributes, everything else numeric.
-        """
-        if len(rows) != len(timestamps):
-            raise ValueError("rows and timestamps must have equal length")
-        if not rows:
-            return cls(timestamps, name=name)
-        numeric: Dict[str, List[float]] = {}
-        categorical: Dict[str, List[str]] = {}
-        first = rows[0]
-        for attr, value in first.items():
-            if isinstance(value, str):
-                categorical[attr] = []
-            else:
-                numeric[attr] = []
-        for row in rows:
-            if set(row) != set(first):
-                raise ValueError("all rows must share the same attribute set")
-            for attr in numeric:
-                numeric[attr].append(float(row[attr]))  # type: ignore[arg-type]
-            for attr in categorical:
-                categorical[attr].append(str(row[attr]))
-        return cls(timestamps, numeric=numeric, categorical=categorical, name=name)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -215,20 +182,6 @@ class Dataset:
             categorical=categorical,
             name=self.name,
         )
-
-    def drop_attributes(self, attrs: Iterable[str]) -> "Dataset":
-        """Return a copy without the named attributes."""
-        drop = set(attrs)
-        return Dataset(
-            self.timestamps,
-            numeric={a: v for a, v in self._numeric.items() if a not in drop},
-            categorical={a: v for a, v in self._categorical.items() if a not in drop},
-            name=self.name,
-        )
-
-    def time_mask(self, start: float, end: float) -> np.ndarray:
-        """Boolean mask of rows whose timestamp lies in ``[start, end]``."""
-        return (self.timestamps >= start) & (self.timestamps <= end)
 
     def valid_mask(self, attr: str) -> np.ndarray:
         """Boolean mask of rows where *attr* has a valid (non-NaN) value.

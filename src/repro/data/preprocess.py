@@ -22,7 +22,6 @@ __all__ = [
     "align_logs",
     "AlignedLogBuilder",
     "GapReport",
-    "find_gaps",
     "regularize_dataset",
 ]
 
@@ -164,33 +163,6 @@ class GapReport:
         return self.n_filled + self.n_nan
 
 
-def find_gaps(
-    timestamps: np.ndarray,
-    interval: float = 1.0,
-    tolerance: float = 0.5,
-) -> List[Tuple[float, float]]:
-    """Locate stretches of missing samples in a nominally regular series.
-
-    A gap is reported as ``(start, end)`` — the first and last *missing*
-    grid times — whenever consecutive observed timestamps are more than
-    ``interval * (1 + tolerance)`` apart.
-    """
-    if interval <= 0:
-        raise ValueError("interval must be positive")
-    timestamps = np.asarray(timestamps, dtype=np.float64)
-    gaps: List[Tuple[float, float]] = []
-    if timestamps.size < 2:
-        return gaps
-    deltas = np.diff(timestamps)
-    for i in np.flatnonzero(deltas > interval * (1.0 + tolerance)):
-        n_missing = int(round(deltas[i] / interval)) - 1
-        if n_missing < 1:
-            continue
-        first = timestamps[i] + interval
-        gaps.append((float(first), float(first + (n_missing - 1) * interval)))
-    return gaps
-
-
 def regularize_dataset(
     dataset: Dataset,
     interval: float = 1.0,
@@ -320,13 +292,6 @@ class AlignedLogBuilder:
         self._categorical[attr] = np.asarray(
             [value] * self.timestamps.size, dtype=object
         )
-
-    def add_categorical(self, attr: str, values: Sequence[str]) -> None:
-        """Attach a per-interval categorical attribute."""
-        arr = np.asarray(values, dtype=object)
-        if arr.shape != self.timestamps.shape:
-            raise ValueError(f"categorical {attr!r} must have one value per interval")
-        self._categorical[attr] = arr
 
     def build(self, name: str = "") -> Dataset:
         """Align all registered sources and return the dataset."""

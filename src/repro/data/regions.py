@@ -151,32 +151,6 @@ class RegionSpec:
         if not normal.any():
             raise ValueError("normal region matches no rows")
 
-    def clamped(self, dataset: Dataset) -> "RegionSpec":
-        """Clamp every interval to the dataset's time span.
-
-        Intervals partially outside the span are trimmed to it; intervals
-        wholly outside are dropped.  Use before :meth:`validate` when the
-        spec was authored against a different (e.g. skewed or truncated)
-        timeline than the telemetry actually delivered.
-        """
-        if dataset.n_rows == 0:
-            return RegionSpec(abnormal=list(self.abnormal), normal=self.normal)
-        lo = float(dataset.timestamps[0])
-        hi = float(dataset.timestamps[-1])
-        span = Region(lo, hi)
-
-        def clamp(regions: List[Region]) -> List[Region]:
-            return [
-                Region(max(r.start, lo), min(r.end, hi))
-                for r in regions
-                if r.intersects(span)
-            ]
-
-        return RegionSpec(
-            abnormal=clamp(self.abnormal),
-            normal=None if self.normal is None else clamp(self.normal),
-        )
-
     def perturbed(self, fraction: float) -> "RegionSpec":
         """Widen/shrink every abnormal interval by *fraction* (Appendix C)."""
         return RegionSpec(

@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # avoid the anomalies ↔ engine import cycle at runtime
     from repro.anomalies.base import ScheduledAnomaly
     from repro.faults.plan import FaultPlan
 
-__all__ = ["TelemetryCollector", "simulate_telemetry", "fleet_batches"]
+__all__ = ["TelemetryCollector", "simulate_telemetry"]
 
 
 class TelemetryCollector:
@@ -160,69 +160,3 @@ def simulate_telemetry(
         duration_s, anomalies, seed=seed, name=name, faults=faults
     )
 
-
-def fleet_batches(
-    workload: WorkloadSpec,
-    n_tenants: int,
-    duration_s: float,
-    anomalies: Sequence["ScheduledAnomaly"] = (),
-    seed: Optional[int] = None,
-    config: Optional[ServerConfig] = None,
-    noise_scale: float = 1.0,
-    anomalous_tenants: Optional[Sequence[int]] = None,
-) -> Tuple[List[str], Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Simulate *n_tenants* independent servers as fleet tick batches.
-
-    Returns ``(attributes, rounds)`` where *rounds* yields one
-    ``(times, values, active)`` batch per simulated second, the shape
-    :meth:`repro.fleet.FleetDetector.tick` ingests.  Each tenant runs
-    its own :class:`DatabaseServer` with a seed spawned from one
-    ``np.random.SeedSequence(seed)``, so tenants decorrelate but the
-    whole fleet replays deterministically.  *anomalous_tenants* limits
-    the scheduled anomalies to a subset (default: every tenant).
-
-    This is the high-fidelity source for fleet smoke tests; the 10k
-    benchmark uses :class:`repro.fleet.sim.FleetSimSource`, which trades
-    the server model for whole-fleet numpy draws.
-    """
-    if n_tenants < 1:
-        raise ValueError("n_tenants must be at least 1")
-    children = np.random.SeedSequence(seed).spawn(n_tenants)
-    anomalous = (
-        set(range(n_tenants))
-        if anomalous_tenants is None
-        else set(int(t) for t in anomalous_tenants)
-    )
-    collectors = [
-        TelemetryCollector(workload, config, noise_scale)
-        for _ in range(n_tenants)
-    ]
-    attributes = list(collectors[0].catalog.numeric_names)
-    streams = [
-        c.stream(
-            duration_s,
-            anomalies if t in anomalous else (),
-            seed=int(children[t].generate_state(1)[0]),
-        )
-        for t, c in enumerate(collectors)
-    ]
-
-    def rounds() -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        n_attrs = len(attributes)
-        while True:
-            times = np.zeros(n_tenants)
-            values = np.zeros((n_tenants, n_attrs))
-            active = np.zeros(n_tenants, dtype=bool)
-            for t, stream in enumerate(streams):
-                try:
-                    tick_t, row, _cats = next(stream)
-                except StopIteration:
-                    continue
-                times[t] = tick_t
-                values[t] = [row[a] for a in attributes]
-                active[t] = True
-            if not active.any():
-                return
-            yield times, values, active
-
-    return attributes, rounds()

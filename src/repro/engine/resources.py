@@ -71,11 +71,6 @@ class ServerConfig:
     base_overhead_ms: float = 0.30
 
     @property
-    def cpu_capacity_ms(self) -> float:
-        """Total CPU milliseconds available per wall-clock second."""
-        return self.n_cores * 1000.0
-
-    @property
     def buffer_pool_mb(self) -> float:
         """Buffer pool size in megabytes."""
         return self.buffer_pool_pages * self.page_size_kb / 1024.0

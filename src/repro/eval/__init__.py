@@ -5,7 +5,6 @@ from repro.eval.metrics import (
     PredicateScores,
     score_predicates_mean,
     margin_of_confidence,
-    score_predicates,
     topk_contains,
 )
 from repro.eval.harness import (
@@ -24,7 +23,6 @@ __all__ = [
     "PredicateScores",
     "MeanScores",
     "score_predicates_mean",
-    "score_predicates",
     "margin_of_confidence",
     "topk_contains",
     "AnomalyDataset",

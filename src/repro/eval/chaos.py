@@ -45,11 +45,11 @@ from repro.faults import (
     NaNValues,
     ReadCorruption,
     SchemaDrift,
-    SlowFsync,
     SpikeCorruption,
     StuckAtCounter,
     TornRename,
 )
+from repro.fleet.recovery import CHECKPOINT_NAME, WAL_NAME
 from repro.schema.reconcile import SchemaReconciler
 
 __all__ = [
@@ -201,17 +201,11 @@ class FleetFaultProfile:
         return {"lane": lane, "hang": hang, "corrupt": corrupt, "clean": clean}
 
 
-#: Fleet chaos ladder.  ``storm`` is the acceptance profile: 20 % of
+#: Fleet chaos profiles.  ``storm`` is the acceptance profile: 20 % of
 #: tenants faulted, split between raising lanes and hanging diagnoses,
 #: with one durably corrupted tenant.
 FLEET_PROFILES: Dict[str, FleetFaultProfile] = {
-    "calm": FleetFaultProfile(
-        name="calm", tenant_fraction=0.05, corrupt_tenants=0
-    ),
     "storm": FleetFaultProfile(name="storm", tenant_fraction=0.2),
-    "monsoon": FleetFaultProfile(
-        name="monsoon", tenant_fraction=0.4, corrupt_tenants=2, hang_s=0.5
-    ),
 }
 
 
@@ -241,8 +235,6 @@ class StorageFaultProfile:
     read_corrupt_tenants: int = 1
     #: per-op transient-EIO rate for the remaining faulted tenants.
     flaky_rate: float = 0.05
-    #: fsync latency injection for flaky tenants (0 disables).
-    slow_fsync_s: float = 0.0
     #: writes a full-disk tenant gets before the disk fills.
     full_disk_after_writes: int = 24
 
@@ -301,8 +293,8 @@ class StorageFaultProfile:
 
         def targets(tenant: str) -> List[str]:
             return [
-                str(root / tenant / "ticks.wal"),
-                str(root / tenant / "checkpoint.json"),
+                str(root / tenant / WAL_NAME),
+                str(root / tenant / CHECKPOINT_NAME),
             ]
 
         faults: List[FSFault] = []
@@ -335,36 +327,14 @@ class StorageFaultProfile:
                         path_filter=targets(tenant),
                     )
                 )
-            if self.slow_fsync_s:
-                faults.append(
-                    SlowFsync(
-                        self.slow_fsync_s, path_filter=targets(tenant)
-                    )
-                )
         return faults
 
 
-#: Storage chaos ladder.  ``thrash`` is the acceptance profile: a
+#: Storage chaos profiles.  ``thrash`` is the acceptance profile: a
 #: quarter of the fleet on misbehaving disks — one filling up, one
 #: tearing renames, one rotting reads, the rest flaky — all healable.
 STORAGE_PROFILES: Dict[str, StorageFaultProfile] = {
-    "scratch": StorageFaultProfile(
-        name="scratch",
-        tenant_fraction=0.1,
-        torn_rename_tenants=0,
-        read_corrupt_tenants=0,
-        flaky_rate=0.02,
-    ),
     "thrash": StorageFaultProfile(name="thrash"),
-    "grind": StorageFaultProfile(
-        name="grind",
-        tenant_fraction=0.5,
-        full_disk_tenants=2,
-        torn_rename_tenants=2,
-        read_corrupt_tenants=2,
-        flaky_rate=0.1,
-        slow_fsync_s=0.001,
-    ),
 }
 
 

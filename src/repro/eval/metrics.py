@@ -15,14 +15,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.predicates import Conjunction
 from repro.data.dataset import Dataset
 from repro.data.regions import RegionSpec
 
 __all__ = [
     "PredicateScores",
     "MeanScores",
-    "score_predicates",
     "score_predicates_mean",
     "margin_of_confidence",
     "topk_contains",
@@ -52,26 +50,6 @@ class MeanScores:
     precision: float
     recall: float
     f1: float
-
-
-def score_predicates(
-    conjunction: Conjunction, dataset: Dataset, truth: RegionSpec
-) -> PredicateScores:
-    """Precision/recall of *conjunction* against the ground-truth regions.
-
-    An empty conjunction predicts nothing abnormal (precision and recall 0
-    rather than a vacuous all-rows match).
-    """
-    actual = truth.abnormal_mask(dataset)
-    if not conjunction:
-        return PredicateScores(precision=0.0, recall=0.0)
-    predicted = conjunction.evaluate(dataset)
-    true_positive = float((predicted & actual).sum())
-    n_predicted = float(predicted.sum())
-    n_actual = float(actual.sum())
-    precision = true_positive / n_predicted if n_predicted else 0.0
-    recall = true_positive / n_actual if n_actual else 0.0
-    return PredicateScores(precision=precision, recall=recall)
 
 
 def score_predicates_mean(

@@ -28,8 +28,7 @@ so robustness can be measured instead of asserted:
                routing every persistence path's write/fsync/rename/read,
                with :class:`~repro.faults.fs.FullDisk` (ENOSPC),
                :class:`~repro.faults.fs.FlakyIO` (transient EIO),
-               :class:`~repro.faults.fs.TornRename`,
-               :class:`~repro.faults.fs.SlowFsync`, and
+               :class:`~repro.faults.fs.TornRename`, and
                :class:`~repro.faults.fs.ReadCorruption` (bit flips /
                truncated JSON) making the *filesystem itself* misbehave.
 
@@ -58,7 +57,6 @@ from repro.faults.fs import (
     FSFault,
     FullDisk,
     ReadCorruption,
-    SlowFsync,
     StorageShim,
     TornRename,
     get_fs,
@@ -84,7 +82,6 @@ __all__ = [
     "NaNValues",
     "ReadCorruption",
     "SchemaDrift",
-    "SlowFsync",
     "SpikeCorruption",
     "StorageShim",
     "StuckAtCounter",

@@ -13,7 +13,6 @@ faults installed the *filesystem itself* misbehaves the way LogDB
 * :class:`FlakyIO` — seeded transient ``EIO`` at a per-op rate;
 * :class:`TornRename` — the nth atomic replace writes a truncated
   destination and raises, simulating a crash mid-``rename``;
-* :class:`SlowFsync` — fsync latency injection;
 * :class:`ReadCorruption` — bit flips or truncation on read-back.
 
 Faults are deterministic (seeded counters/generators, no wall clock),
@@ -31,10 +30,9 @@ from __future__ import annotations
 
 import errno
 import os
-import time as _time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,7 +43,6 @@ __all__ = [
     "FlakyIO",
     "FullDisk",
     "ReadCorruption",
-    "SlowFsync",
     "StorageShim",
     "TornRename",
     "count_read_error",
@@ -258,29 +255,6 @@ class TornRename(FSFault):
         cut = int(len(data) * self.keep_fraction)
         Path(dst).write_bytes(data[:cut])
         raise OSError(errno.EIO, f"injected: torn rename onto {dst}", dst)
-
-
-class SlowFsync(FSFault):
-    """Every matching fsync stalls ``delay_s`` seconds before completing."""
-
-    kind = "slow_fsync"
-
-    def __init__(
-        self,
-        delay_s: float,
-        path_filter: PathFilter = None,
-        sleep: Callable[[float], None] = _time.sleep,
-    ) -> None:
-        super().__init__(path_filter)
-        if delay_s < 0:
-            raise ValueError("delay_s must be non-negative")
-        self.delay_s = float(delay_s)
-        self._sleep = sleep
-
-    def on_fsync(self, path: str) -> None:
-        if self.delay_s:
-            self._fire()
-            self._sleep(self.delay_s)
 
 
 class ReadCorruption(FSFault):

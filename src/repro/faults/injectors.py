@@ -630,7 +630,9 @@ class CorruptTenantState(FaultInjector):
 
     @staticmethod
     def _active_wal_segment(tenant_dir: Path) -> Path:
-        wal_path = tenant_dir / "ticks.wal"
+        from repro.fleet.recovery import WAL_NAME  # lazy: import cycle
+
+        wal_path = tenant_dir / WAL_NAME
         if wal_path.is_dir():
             segments = sorted(wal_path.glob("seg-*.wal"))
             if segments:
@@ -642,6 +644,8 @@ class CorruptTenantState(FaultInjector):
         """Corrupt each tenant's state under *root_dir*; returns hits."""
         import shutil
 
+        from repro.fleet.recovery import CHECKPOINT_NAME  # lazy: import cycle
+
         root = Path(root_dir)
         garbage = '{"version": 1, "detector": {"version'
         corrupted: List[str] = []
@@ -652,12 +656,12 @@ class CorruptTenantState(FaultInjector):
             if self.mode == "missing":
                 shutil.rmtree(tenant_dir)
             elif self.mode == "checkpoint":
-                (tenant_dir / "checkpoint.json").write_text(garbage)
-                fallback = tenant_dir / "checkpoint.json.1"
+                (tenant_dir / CHECKPOINT_NAME).write_text(garbage)
+                fallback = tenant_dir / f"{CHECKPOINT_NAME}.1"
                 if fallback.exists():
                     fallback.write_text(garbage)
             elif self.mode == "generation":
-                (tenant_dir / "checkpoint.json").write_text(garbage)
+                (tenant_dir / CHECKPOINT_NAME).write_text(garbage)
             else:  # wal: torn trailing record in the active segment
                 with self._active_wal_segment(tenant_dir).open("a") as handle:
                     handle.write('{"t": 99999.0, "numeric": {"m0"')

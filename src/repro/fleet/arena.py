@@ -249,10 +249,6 @@ class ArenaWindow:
         return int(self._arena.appended[self._stream])
 
     @property
-    def oldest_seq(self) -> int:
-        return self.appended - self.n_rows
-
-    @property
     def numeric_attributes(self) -> List[str]:
         return list(self._arena.attributes)
 

@@ -10,8 +10,7 @@ worker pool behind a small surface — ``submit``, ``flush``, ``poll``,
   under per-tenant lock stripes of the shared labeled-space cache;
 * ``max_pending`` bounds the jobs in flight, and the shed policy picks
   who pays when ingest outruns diagnosis: ``"drop_oldest"`` cancels the
-  stalest queued job, ``"reject_new"`` refuses the incoming one,
-  ``"block"`` makes the caller wait;
+  stalest queued job, ``"block"`` makes the caller wait;
 * results reach :attr:`DiagnosisExecutor.diagnoses` in submission order;
 * a failed batch retries each job alone on a jitterless exponential
   backoff (:data:`MAX_RETRIES`, :data:`BACKOFF_S`,
@@ -46,7 +45,7 @@ from repro.obs import metrics
 
 __all__ = ["DiagnosisExecutor", "SHED_POLICIES"]
 
-SHED_POLICIES = ("drop_oldest", "reject_new", "block")
+SHED_POLICIES = ("drop_oldest", "block")
 
 #: Worker failures a job is retried for before it fails terminally.
 MAX_RETRIES = 2
@@ -276,9 +275,6 @@ class DiagnosisExecutor:
                 self._wait_oldest()
                 self.poll()
                 continue
-            if self.shed_policy == "reject_new":
-                self._shed_job_admission(tenant, probe)
-                return
             # drop_oldest: cancel the stalest work still waiting to run
             if not self._drop_oldest_waiting():
                 # everything submitted is already executing; the incoming

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -200,8 +200,6 @@ class FleetScheduler:
         self.root_dir = Path(root_dir) if root_dir is not None else None
         self.max_wal_bytes_per_tenant = int(max_wal_bytes_per_tenant)
         self.report = SchedulerReport()
-        #: p99 source: per-stream verdict latencies from recent rounds.
-        self._latencies: List[np.ndarray] = []
         self.health = HealthTracker(
             self.tenants,
             root_dir=self.root_dir,
@@ -375,9 +373,6 @@ class FleetScheduler:
             1 for res in tick.results.values() if res.regions
         )
         _SCHED_ROUNDS.inc()
-        if tick.verdict_latency is not None:
-            lat = tick.verdict_latency[present]
-            self._latencies.append(lat[np.isfinite(lat)])
         if self.label_metrics:
             self._label_round(tick, present)
         if (
@@ -612,15 +607,6 @@ class FleetScheduler:
                 _TENANT_TICK_SECONDS.labels(tenant=tenant).observe(
                     float(lat[s])
                 )
-
-    def latency_percentiles(
-        self, qs: Sequence[float] = (50.0, 90.0, 99.0)
-    ) -> Dict[str, float]:
-        """Percentiles of per-stream tick-to-verdict latency (seconds)."""
-        allv = np.concatenate(self._latencies or [np.empty(0)])
-        if allv.size == 0:
-            return {f"p{q:g}": float("nan") for q in qs}
-        return {f"p{q:g}": float(np.percentile(allv, q)) for q in qs}
 
     def close(self) -> None:
         """Drain diagnosis, stop the pool, close WAL handles.

@@ -25,7 +25,6 @@ from repro.obs.incident import (
 from repro.obs.metrics import REGISTRY, MetricsRegistry, TimelineRing
 from repro.obs.trace import (
     TraceRecorder,
-    add_attrs,
     attached,
     current_context,
     enabled,
@@ -49,7 +48,6 @@ __all__ = [
     "explain_bundle",
     "list_bundles",
     "load_bundle",
-    "add_attrs",
     "attached",
     "current_context",
     "enabled",

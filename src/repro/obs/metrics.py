@@ -646,10 +646,6 @@ class MetricsRegistry:
                 self._timelines[key] = ring
             return ring
 
-    def timelines(self) -> Dict[str, TimelineRing]:
-        with self._lock:
-            return dict(self._timelines)
-
     def reset(self) -> None:
         """Zero every instrument in place (handles stay valid); retained
         timeline rings and histogram exemplars clear too, so benches and

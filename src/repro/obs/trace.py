@@ -43,7 +43,6 @@ __all__ = [
     "TraceRecorder",
     "span",
     "stage",
-    "add_attrs",
     "enabled",
     "install",
     "uninstall",
@@ -313,15 +312,6 @@ def stage(name: str, duration_s: float, **attrs) -> None:
             "attrs": attrs,
         }
     )
-
-
-def add_attrs(**attrs) -> None:
-    """Attach attributes to the innermost live span (no-op otherwise)."""
-    if _RECORDER is None:
-        return
-    current = _CURRENT.get()
-    if isinstance(current, Span):
-        current.attrs.update(attrs)
 
 
 # ----------------------------------------------------------------------

@@ -286,10 +286,6 @@ class TickWAL:
         self._open_segment()
 
     # ------------------------------------------------------------------
-    def replay(self) -> List[RawTick]:
-        """All verified logged ticks, oldest first (see replay_report)."""
-        return self.replay_report()[0]
-
     def replay_report(self) -> Tuple[List[RawTick], WALReplayReport]:
         """Verified ticks plus an account of what had to be skipped.
 
@@ -373,22 +369,6 @@ class TickWAL:
             return None
 
     # ------------------------------------------------------------------
-    def truncate(self) -> None:
-        """Drop all logged ticks and start a fresh segment."""
-        if not self._fh.closed:
-            try:
-                self._fh.flush()
-            except OSError:
-                pass
-            self._fh.close()
-        for seg in self.segments():
-            seg.unlink()
-        self._seg_index += 1
-        self._marks = [self._seg_index]
-        self._pending = 0
-        self._sealed_torn_tail = False
-        self._open_segment()
-
     def mark_checkpoint(self) -> None:
         """Record a durable checkpoint and retire pre-previous segments.
 

@@ -1,17 +1,15 @@
 """Terminal visualisation: the text analogue of DBSherlock's GUI.
 
 The paper's component (3) is a graphical plot of performance metrics with
-user-selectable regions (Figure 3) and the partition-space diagrams of
-Figure 4.  Offline and headless, we render the same artefacts as ASCII:
-time-series plots with region overlays, compact sparklines, partition
-label strips, and a full incident report.
+user-selectable regions (Figure 3).  Offline and headless, we render it as
+ASCII: time-series plots with region overlays, compact sparklines, and a
+full incident report.
 """
 
 from repro.viz.ascii import (
     incident_report,
-    partition_strip,
     plot_series,
     sparkline,
 )
 
-__all__ = ["sparkline", "plot_series", "partition_strip", "incident_report"]
+__all__ = ["sparkline", "plot_series", "incident_report"]

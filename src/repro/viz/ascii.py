@@ -1,4 +1,4 @@
-"""ASCII rendering of telemetry, regions, and partition spaces.
+"""ASCII rendering of telemetry and regions.
 
 Everything returns plain strings (no terminal escapes) so output is safe
 to log, diff, and assert on in tests.
@@ -10,19 +10,12 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.generator import AttributeArtifacts
-from repro.core.partition import Label
 from repro.data.dataset import Dataset
 from repro.data.regions import RegionSpec
 
-__all__ = ["sparkline", "plot_series", "partition_strip", "incident_report"]
+__all__ = ["sparkline", "plot_series", "incident_report"]
 
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
-_LABEL_CHARS = {
-    int(Label.EMPTY): "·",
-    int(Label.NORMAL): "N",
-    int(Label.ABNORMAL): "A",
-}
 
 
 def sparkline(values: Sequence[float], width: Optional[int] = None) -> str:
@@ -95,41 +88,6 @@ def plot_series(
         strip = "".join("#" if m else " " for m in pooled_mask)
         lines.append(" " * 10 + " " + strip + "  (# = abnormal)")
     return "\n".join(lines)
-
-
-def partition_strip(
-    artifacts: AttributeArtifacts, stage: str = "filled", width: int = 78
-) -> str:
-    """Figure 4-style strip of a partition space's labels.
-
-    ``stage`` selects the pipeline step: ``initial``, ``filtered``, or
-    ``filled``.  Each character is one partition: ``N`` normal, ``A``
-    abnormal, ``·`` empty; long spaces are resampled by majority.
-    """
-    labels = {
-        "initial": artifacts.labels_initial,
-        "filtered": artifacts.labels_filtered,
-        "filled": artifacts.labels_filled,
-    }.get(stage)
-    if labels is None:
-        return f"{artifacts.attr}: (stage {stage!r} not available)"
-    labels = np.asarray(labels)
-    n = labels.size
-    if n > width:
-        edges = np.linspace(0, n, width + 1).astype(int)
-        pooled = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            chunk = labels[a:b] if b > a else labels[[min(a, n - 1)]]
-            # abnormal wins over normal wins over empty for visibility
-            if (chunk == int(Label.ABNORMAL)).any():
-                pooled.append(int(Label.ABNORMAL))
-            elif (chunk == int(Label.NORMAL)).any():
-                pooled.append(int(Label.NORMAL))
-            else:
-                pooled.append(int(Label.EMPTY))
-        labels = np.asarray(pooled)
-    strip = "".join(_LABEL_CHARS[int(l)] for l in labels)
-    return f"{artifacts.attr} [{stage}]: {strip}"
 
 
 def incident_report(

@@ -122,25 +122,3 @@ class WorkloadSpec:
             [float(getattr(t, attribute)) for t in self.types], dtype=np.float64
         )
         return float((weights * values).sum())
-
-    @property
-    def read_fraction(self) -> float:
-        """Weighted fraction of read-only transactions in the mix."""
-        weights = self.weights
-        return float(
-            sum(w for w, t in zip(weights, self.types) if t.read_only)
-        )
-
-    def with_overrides(self, **kwargs) -> "WorkloadSpec":
-        """Copy with scale/terminal/rate fields overridden."""
-        values = dict(
-            name=self.name,
-            types=list(self.types),
-            scale_factor=self.scale_factor,
-            n_terminals=self.n_terminals,
-            base_tps=self.base_tps,
-            think_time_s=self.think_time_s,
-            hot_fraction=self.hot_fraction,
-        )
-        values.update(kwargs)
-        return WorkloadSpec(**values)

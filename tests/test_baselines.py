@@ -125,7 +125,13 @@ class TestPerfXplain:
     def test_missing_attribute_mask_empty(self):
         ds, spec = step_run()
         px = PerfXplain().fit([ds], [spec], seed=0)
-        reduced = ds.drop_attributes([f.attr for f in px.features_])
+        used = {f.attr for f in px.features_}
+        reduced = Dataset(
+            ds.timestamps,
+            numeric={
+                a: ds.column(a) for a in ds.numeric_attributes if a not in used
+            },
+        )
         assert not px.predict(reduced, seed=0).any()
 
 

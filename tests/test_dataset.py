@@ -107,32 +107,6 @@ class TestNonFiniteCells:
         assert b[5] == np.inf
 
 
-class TestFromRows:
-    def test_type_inference(self):
-        ds = Dataset.from_rows(
-            [0.0, 1.0],
-            [{"n": 1, "s": "a"}, {"n": 2, "s": "b"}],
-        )
-        assert ds.is_numeric("n")
-        assert not ds.is_numeric("s")
-
-    def test_values_preserved(self):
-        ds = Dataset.from_rows([0.0, 1.0], [{"n": 1.5}, {"n": 2.5}])
-        assert list(ds.column("n")) == [1.5, 2.5]
-
-    def test_row_count_mismatch(self):
-        with pytest.raises(ValueError):
-            Dataset.from_rows([0.0], [{"n": 1}, {"n": 2}])
-
-    def test_inconsistent_rows_rejected(self):
-        with pytest.raises(ValueError):
-            Dataset.from_rows([0.0, 1.0], [{"n": 1}, {"m": 2}])
-
-    def test_empty_rows(self):
-        ds = Dataset.from_rows([], [])
-        assert ds.n_rows == 0
-
-
 class TestAccess:
     def test_column_numeric(self):
         ds = make_dataset()
@@ -170,15 +144,6 @@ class TestRowOperations:
     def test_select_bad_mask_shape(self):
         with pytest.raises(ValueError):
             make_dataset(10).select(np.ones(3, dtype=bool))
-
-    def test_drop_attributes(self):
-        ds = make_dataset().drop_attributes(["b", "c"])
-        assert ds.attributes == ["a"]
-
-    def test_time_mask_inclusive(self):
-        ds = make_dataset(10)
-        mask = ds.time_mask(2.0, 4.0)
-        assert mask.sum() == 3
 
 
 class TestNormalization:

@@ -106,15 +106,6 @@ class TestDBSCAN:
         clusterer = DBSCAN(eps=1.0).fit(np.zeros((0, 2)))
         assert clusterer.labels_.size == 0
 
-    def test_cluster_sizes(self):
-        clusterer = DBSCAN(eps=1.0, min_pts=3).fit(two_blobs())
-        sizes = clusterer.cluster_sizes()
-        assert sorted(sizes.values()) == [30, 30]
-
-    def test_cluster_sizes_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            DBSCAN().cluster_sizes()
-
     def test_bad_min_pts_rejected(self):
         with pytest.raises(ValueError):
             DBSCAN(min_pts=0)

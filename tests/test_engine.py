@@ -31,9 +31,6 @@ class TestQueueing:
 
 
 class TestServerConfig:
-    def test_cpu_capacity(self):
-        assert ServerConfig(n_cores=4).cpu_capacity_ms == 4000.0
-
     def test_buffer_pool_size(self):
         cfg = ServerConfig(buffer_pool_pages=1024, page_size_kb=16.0)
         assert cfg.buffer_pool_mb == 16.0

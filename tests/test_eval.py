@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.causal import CausalModel
-from repro.core.predicates import Conjunction, NumericPredicate
+from repro.core.predicates import NumericPredicate
 from repro.data.dataset import Dataset
 from repro.data.regions import Region, RegionSpec
 from repro.eval.harness import (
@@ -20,7 +20,6 @@ from repro.eval.metrics import (
     MeanScores,
     PredicateScores,
     margin_of_confidence,
-    score_predicates,
     score_predicates_mean,
     topk_contains,
 )
@@ -35,30 +34,6 @@ def step():
 
 
 class TestPredicateScores:
-    def test_perfect_scores(self):
-        ds, spec = step()
-        conj = Conjunction([NumericPredicate("m", lower=5.0)])
-        scores = score_predicates(conj, ds, spec)
-        assert scores.precision == 1.0 and scores.recall == 1.0
-        assert scores.f1 == 1.0
-
-    def test_partial_recall(self):
-        ds, spec = step()
-        conj = Conjunction([NumericPredicate("m", lower=100.0)])
-        scores = score_predicates(conj, ds, spec)
-        assert scores.recall == 0.0 and scores.f1 == 0.0
-
-    def test_low_precision(self):
-        ds, spec = step()
-        conj = Conjunction([NumericPredicate("m", lower=0.0)])
-        scores = score_predicates(conj, ds, spec)
-        assert scores.precision == pytest.approx(30 / 120)
-        assert scores.recall == 1.0
-
-    def test_empty_conjunction_scores_zero(self):
-        ds, spec = step()
-        assert score_predicates(Conjunction(), ds, spec).f1 == 0.0
-
     def test_f1_harmonic_mean(self):
         scores = PredicateScores(precision=0.5, recall=1.0)
         assert scores.f1 == pytest.approx(2 / 3)
@@ -92,21 +67,6 @@ class TestMeanScores:
         ds, spec = step()
         scores = score_predicates_mean([], ds, spec)
         assert scores == MeanScores(0.0, 0.0, 0.0)
-
-    def test_conjunction_stricter_than_mean(self):
-        ds, spec = step()
-        preds = [NP("m", lower=5.0), NP("m2", lower=100.0)]
-        ds2 = Dataset(
-            ds.timestamps,
-            numeric={"m": ds.column("m"), "m2": ds.column("m")},
-        )
-        conj_f1 = score_predicates(Conjunction(
-            [NP("m", lower=5.0), NP("m2", lower=100.0)]
-        ), ds2, spec).f1
-        mean_f1 = score_predicates_mean(
-            [NP("m", lower=5.0), NP("m2", lower=100.0)], ds2, spec
-        ).f1
-        assert conj_f1 <= mean_f1
 
 
 class TestRankingMetrics:

@@ -283,9 +283,11 @@ class TestNaNHardening:
     def test_labeling_survives_nan(self):
         ds = FaultPlan([NaNValues(0.05)], seed=10).apply(make_dataset())
         spec = self.make_spec()
+        abnormal = spec.abnormal_mask(ds)
+        normal = spec.normal_mask(ds)
         for attr in ds.numeric_attributes:
             space = NumericPartitionSpace.from_dataset(ds, attr, 250)
-            labels = space.labeled_from_spec(ds, spec)
+            labels = space.label(ds.column(attr), abnormal, normal)
             assert set(np.unique(labels)) <= {
                 int(Label.EMPTY),
                 int(Label.NORMAL),

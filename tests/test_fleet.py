@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import json
 import tempfile
+import tracemalloc
 import warnings
 from collections import deque
 from pathlib import Path
@@ -291,7 +292,7 @@ class TestFleetArena:
         assert v0.timestamps.tolist() == [3.0, 4.0, 5.0]
         assert v0.column("a").tolist() == [2.0, 3.0, 4.0]
         assert v0.bounds("a") == (2.0, 4.0)
-        assert v0.oldest_seq == 2
+        assert v0.appended - v0.n_rows == 2
 
     def test_append_rejects_bad_rows_before_any_write(self):
         # a 4-slot lane fed 3, 1, NaN, 2, 5, 4, 6 used to report median
@@ -369,7 +370,8 @@ class TestFleetArena:
             assert view.column(a).tobytes() == col.tobytes()
             assert ds.column(a).tobytes() == col.tobytes()
         values = arena._overall._values
-        for k, (t, row) in enumerate(rows, start=view.oldest_seq):
+        oldest = view.appended - view.n_rows
+        for k, (t, row) in enumerate(rows, start=oldest):
             assert arena._ts[s, k % cap].tobytes() == np.float64(t).tobytes()
             assert (
                 values[k % cap, s * A : (s + 1) * A].tobytes() == row.tobytes()
@@ -456,7 +458,8 @@ class TestFleetArena:
             ).tobytes()
             buf = detector._categorical["c"]
             assert buf.shape == (capacity,)
-            for k, want in enumerate(labels, start=window.oldest_seq):
+            oldest = window.appended - window.n_rows
+            for k, want in enumerate(labels, start=oldest):
                 assert buf[k % capacity] == want
 
 
@@ -741,21 +744,20 @@ class TestFleetScheduler:
         )
 
     def test_shedding_policies_bound_the_queue(self):
-        for policy in ("drop_oldest", "reject_new"):
-            S = 8
-            sched = FleetScheduler(
-                self._detector(S),
-                sherlock=DBSherlock(),
-                max_pending=1,
-                diagnose_jobs=1,
-                shed_policy=policy,
-                label_metrics=False,
-            )
-            report = sched.run(_busy_source(S, self.ATTRS).take(120))
-            sched.close()
-            assert report.diagnoses + report.shed == report.closed_regions
-            if report.shed:
-                assert sum(report.shed_by_tenant.values()) == report.shed
+        S = 8
+        sched = FleetScheduler(
+            self._detector(S),
+            sherlock=DBSherlock(),
+            max_pending=1,
+            diagnose_jobs=1,
+            shed_policy="drop_oldest",
+            label_metrics=False,
+        )
+        report = sched.run(_busy_source(S, self.ATTRS).take(120))
+        sched.close()
+        assert report.diagnoses + report.shed == report.closed_regions
+        if report.shed:
+            assert sum(report.shed_by_tenant.values()) == report.shed
 
     def test_rejects_bad_configuration(self):
         det = self._detector(2)
@@ -806,7 +808,32 @@ class TestFleetScheduler:
             assert np.array_equal(a.powers, b.powers)
         recovered.close()
 
-    def test_latency_percentiles_and_verdict_latency(self):
+    def test_keeps_no_per_round_state(self):
+        # a long-running fleet must not grow with the rounds it has run:
+        # one float64 per tenant per round is N * S * 8 = 144 KB here
+        S, N = 300, 60
+        sched = FleetScheduler(
+            FleetDetector(S, self.ATTRS, capacity=60),
+            sherlock=None,
+            label_metrics=False,
+        )
+        batches = list(FleetSimSource(S, self.ATTRS, seed=2).take(3 * N))
+        current = []
+        tracemalloc.start()
+        try:
+            for k in range(3):
+                for batch in batches[k * N : (k + 1) * N]:
+                    sched.run_round(*batch)
+                current.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        sched.close()
+        # a per-round leak grows both spans; a one-time allocation (numpy
+        # imports np.quantile's module at the first fallout) only one
+        growth = min(current[1] - current[0], current[2] - current[1])
+        assert growth < 16 * 1024
+
+    def test_verdict_latency(self):
         S = 4
         det = self._detector(S)
         sched = FleetScheduler(det, label_metrics=False)
@@ -817,8 +844,6 @@ class TestFleetScheduler:
             assert lat is not None
             assert np.isfinite(lat[active]).all()
             assert (lat[active] > 0).all()
-        pcts = sched.latency_percentiles()
-        assert pcts["p50"] <= pcts["p90"] <= pcts["p99"]
         sched.close()
 
 
@@ -1247,7 +1272,8 @@ class TestBatchedFalloutEquivalence:
                     _assert_same_result(tick.result(s), ref.result(s))
                     assert tick.closed.get(s) == ref.closed.get(s)
         assert fleet.poisoned.tolist() == [s == bad for s in range(S)]
-        assert "FloatingPointError" in fleet.poison_reason(bad)
+        # repoisoning is idempotent and returns the first reason
+        assert "FloatingPointError" in fleet.poison(bad)
 
 
 class TestFalloutKernelProperty:
@@ -1369,7 +1395,7 @@ class TestFalloutKernelProperty:
 # Scheduler under storm: fused batches, striped locks, shed policies
 # ----------------------------------------------------------------------
 class TestSchedulerStormStress:
-    """All three shed policies at ``diagnose_jobs=8``: no diagnosis is
+    """Both shed policies at ``diagnose_jobs=8``: no diagnosis is
     lost or duplicated, and per-tenant verdict order stays monotone even
     though batches complete on a thread pool."""
 
@@ -1408,7 +1434,7 @@ class TestSchedulerStormStress:
 
     @pytest.mark.parametrize(
         "policy,max_pending",
-        [("block", 4), ("drop_oldest", 4), ("reject_new", 4)],
+        [("block", 4), ("drop_oldest", 4)],
     )
     def test_no_lost_or_duplicated_diagnoses(self, policy, max_pending):
         report, closed, diagnosed = self._drive(policy, max_pending)
@@ -1438,7 +1464,7 @@ class TestSchedulerStormStress:
 class TestSchedulerShutdownRaces:
     """Tearing the scheduler down mid-storm must not lose, duplicate, or
     leak work: ``close()`` called with fused batches still executing on
-    the pool settles every job exactly once, under all three shed
+    the pool settles every job exactly once, under both shed
     policies."""
 
     ATTRS = ["a", "b", "c"]
@@ -1455,7 +1481,7 @@ class TestSchedulerShutdownRaces:
             **extra,
         )
 
-    @pytest.mark.parametrize("policy", ("block", "drop_oldest", "reject_new"))
+    @pytest.mark.parametrize("policy", ("block", "drop_oldest"))
     def test_close_with_batches_in_flight(self, policy):
         sched = self._storm_scheduler(policy)
         closed = {t: [] for t in sched.tenants}
@@ -1485,7 +1511,7 @@ class TestSchedulerShutdownRaces:
                 tenant,
             )
 
-    @pytest.mark.parametrize("policy", ("block", "drop_oldest", "reject_new"))
+    @pytest.mark.parametrize("policy", ("block", "drop_oldest"))
     def test_drain_midflight_then_resume(self, policy):
         sched = self._storm_scheduler(policy)
         src = _busy_source(8, self.ATTRS)

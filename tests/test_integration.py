@@ -9,7 +9,6 @@ from repro.anomalies.base import ScheduledAnomaly
 from repro.baselines import PerfXplain
 from repro.engine import simulate_telemetry
 from repro.eval.harness import simulate_run
-from repro.eval.metrics import score_predicates
 from repro.workload import tpcc_workload
 
 

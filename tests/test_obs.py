@@ -144,9 +144,8 @@ class TestDisabledPath:
             inner.set(ignored=True)
         assert trace.get_recorder() is None
 
-    def test_stage_and_add_attrs_do_nothing(self):
+    def test_stage_does_nothing(self):
         trace.stage("x", 1.0)
-        trace.add_attrs(a=1)
         assert trace.current_context() is None
 
     def test_no_events_recorded_anywhere(self):

@@ -8,8 +8,6 @@ from repro.core.partition import (
     Label,
     NumericPartitionSpace,
 )
-from repro.data.dataset import Dataset
-from repro.data.regions import Region, RegionSpec
 
 
 class TestNumericPartitionSpace:
@@ -96,15 +94,6 @@ class TestNumericLabeling:
         normal = np.asarray([False, False, True])  # row 1 ignored
         labels = space.label(values, abnormal, normal)
         assert labels[0] == int(Label.ABNORMAL)
-
-    def test_labeled_from_spec(self):
-        values = np.arange(10, dtype=float)
-        ds = Dataset(values, numeric={"a": values})
-        spec = RegionSpec(abnormal=[Region(5.0, 9.0)])
-        space = NumericPartitionSpace.from_dataset(ds, "a", 10)
-        labels = space.labeled_from_spec(ds, spec)
-        assert labels[9] == int(Label.ABNORMAL)
-        assert labels[0] == int(Label.NORMAL)
 
 
 class TestCategoricalPartitionSpace:

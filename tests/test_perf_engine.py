@@ -1053,7 +1053,7 @@ class TestBatchKernelsBitwise:
             assert np.array_equal(batched[i], normalize_values(matrix[i])), i
 
     def test_dbscan_labels_batch_matches_serial(self):
-        from repro.cluster.dbscan import dbscan_labels_batch
+        from repro.cluster.dbscan import dbscan_labels_stacks
         from tests.dbscan_oracle import dbscan as oracle_dbscan
 
         rng = np.random.default_rng(95)
@@ -1061,7 +1061,7 @@ class TestBatchKernelsBitwise:
             pts = rng.normal(size=(12, n, d))
             pts[::2, : n // 2] += 8.0  # force real clusters in half the sets
             pts[1] = pts[1, :1]  # degenerate: all points identical
-            labels, eps = dbscan_labels_batch(pts, min_pts=3)
+            labels, eps = dbscan_labels_stacks([pts], min_pts=3)
             for i in range(pts.shape[0]):
                 want_labels, want_eps = oracle_dbscan(pts[i], min_pts=3)
                 assert np.array_equal(labels[i], want_labels), (n, d, i)

@@ -118,17 +118,6 @@ class TestAlignedLogBuilder:
         assert "txn_count_A" in ds.numeric_attributes
         assert set(ds.column("ver")) == {"5.6"}
 
-    def test_categorical_length_checked(self):
-        builder = AlignedLogBuilder(0.0, 3.0)
-        with pytest.raises(ValueError):
-            builder.add_categorical("m", ["a", "b"])
-
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
             AlignedLogBuilder(5.0, 5.0)
-
-    def test_per_interval_categorical(self):
-        builder = AlignedLogBuilder(0.0, 2.0)
-        builder.add_categorical("m", ["a", "b"])
-        ds = builder.build()
-        assert list(ds.column("m")) == ["a", "b"]

@@ -105,46 +105,6 @@ class TestRegionSpecMasks:
         RegionSpec.from_bounds([(90, 150)]).validate(ds())
 
 
-class TestClamped:
-    def test_trims_partially_outside(self):
-        spec = RegionSpec.from_bounds([(-10, 5), (90, 150)])
-        clamped = spec.clamped(ds())
-        assert clamped.abnormal[0].start == 0.0
-        assert clamped.abnormal[0].end == 5.0
-        assert clamped.abnormal[1].start == 90.0
-        assert clamped.abnormal[1].end == 99.0
-
-    def test_drops_wholly_outside(self):
-        spec = RegionSpec.from_bounds([(10, 19), (500, 600)])
-        clamped = spec.clamped(ds())
-        assert len(clamped.abnormal) == 1
-        assert clamped.abnormal[0] == Region(10.0, 19.0)
-
-    def test_clamps_explicit_normal(self):
-        spec = RegionSpec.from_bounds([(10, 19)], normal=[(-5, 5), (200, 300)])
-        clamped = spec.clamped(ds())
-        assert clamped.normal == [Region(0.0, 5.0)]
-
-    def test_inside_spec_unchanged(self):
-        spec = RegionSpec.from_bounds([(10, 19)], normal=[(40, 50)])
-        clamped = spec.clamped(ds())
-        assert clamped.abnormal == spec.abnormal
-        assert clamped.normal == spec.normal
-
-    def test_empty_dataset_passthrough(self):
-        empty = Dataset(
-            np.zeros(0), numeric={"a": np.zeros(0)}
-        )
-        spec = RegionSpec.from_bounds([(10, 19)])
-        clamped = spec.clamped(empty)
-        assert clamped.abnormal == spec.abnormal
-
-    def test_then_validate_succeeds(self):
-        spec = RegionSpec.from_bounds([(90, 150)])
-        clamped = spec.clamped(ds())
-        clamped.validate(ds())
-
-
 class TestPerturbation:
     def test_perturbed_widens_all(self):
         spec = RegionSpec.from_bounds([(10, 20), (50, 60)]).perturbed(0.1)

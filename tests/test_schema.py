@@ -33,6 +33,25 @@ from repro.schema import (
 )
 
 
+def without(dataset, attrs):
+    """Copy of *dataset* minus the named attributes (a collector drop)."""
+    drop = set(attrs)
+    return Dataset(
+        dataset.timestamps,
+        numeric={
+            a: dataset.column(a)
+            for a in dataset.numeric_attributes
+            if a not in drop
+        },
+        categorical={
+            a: dataset.column(a)
+            for a in dataset.categorical_attributes
+            if a not in drop
+        },
+        name=dataset.name,
+    )
+
+
 def make_dataset(n=60, name="train"):
     """Small dataset with distinguishable attribute distributions."""
     rng = np.random.default_rng(7)
@@ -183,7 +202,7 @@ class TestReconciler:
         assert match.dataset_attr == "totally.different"
 
     def test_dropped_attribute_reported_missing(self):
-        data = make_dataset().drop_attributes(["os.disk_read"])
+        data = without(make_dataset(), ["os.disk_read"])
         report = self.reconcile(data)
         assert report.missing == ["os.disk_read"]
 
@@ -240,7 +259,7 @@ class TestReconciler:
             for a in numeric
             if a not in renamed and rng.random() < 0.3
         }
-        drifted = train.rename_attributes(renamed).drop_attributes(dropped)
+        drifted = without(train.rename_attributes(renamed), dropped)
         if rng.random() < 0.5:  # junk column
             drifted = Dataset(
                 drifted.timestamps,
@@ -307,7 +326,7 @@ class TestReconciledRanking:
 
     def test_low_coverage_abstains_at_zero(self):
         model = self.build_model()
-        test = make_anomalous_dataset().drop_attributes(["os.cpu_user"])
+        test = without(make_anomalous_dataset(), ["os.cpu_user"])
         # the single predicate attribute is gone: coverage 0 < floor
         result = rank_with_reconciliation(
             [model], test, anomaly_spec(), SchemaReconciler()
@@ -563,7 +582,7 @@ class TestFacadeDegradation:
     def test_total_schema_loss_abstains(self):
         sherlock = self.trained_sherlock()
         model_attrs = sherlock.store.get("CPU Saturation").attributes
-        stripped = make_anomalous_dataset().drop_attributes(model_attrs)
+        stripped = without(make_anomalous_dataset(), model_attrs)
         explanation = sherlock.explain(stripped, anomaly_spec())
         assert "CPU Saturation" in explanation.abstained
         assert explanation.top_cause is None

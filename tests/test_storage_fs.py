@@ -45,7 +45,6 @@ from repro.faults.fs import (
     FlakyIO,
     FullDisk,
     ReadCorruption,
-    SlowFsync,
     StorageShim,
     TornRename,
 )
@@ -197,15 +196,6 @@ class TestStorageShim:
         assert (tmp_path / "torn.txt").read_text() == "01234"
         assert src2.exists()  # the source survives the failed rename
 
-    def test_slow_fsync_stalls_matching_fsyncs(self, tmp_path):
-        stalls = []
-        fault = SlowFsync(0.25, sleep=stalls.append)
-        shim = StorageShim([fault])
-        with open(tmp_path / "f.txt", "w") as fh:
-            shim.write(fh, "x")
-            shim.fsync(fh)
-        assert stalls == [0.25]
-
     def test_read_corruption_modes(self, tmp_path):
         target = tmp_path / "payload.json"
         target.write_bytes(b'{"k": "v", "pad": "' + b"x" * 200 + b'"}')
@@ -229,8 +219,6 @@ class TestStorageShim:
             FlakyIO(rate=1.5)
         with pytest.raises(ValueError):
             TornRename(nth=0)
-        with pytest.raises(ValueError):
-            SlowFsync(-1.0)
         with pytest.raises(ValueError):
             ReadCorruption(mode="scramble")
 
@@ -452,7 +440,7 @@ class TestTenantDurability:
         managed = self._managed(tmp_path, shim, max_retries=2)
         assert managed.append(0.0, {"cpu": 1.0}) is True
         assert managed.mode == DURABLE
-        assert [t for t, _, _ in managed.wal.replay()] == [0.0]
+        assert [t for t, _, _ in managed.wal.replay_report()[0]] == [0.0]
 
     def test_fatal_error_degrades_without_retrying(self, tmp_path):
         fault = FailOp("write", nth=1, err=errno.EACCES)
@@ -498,7 +486,7 @@ class TestTenantDurability:
         assert transitions[0][0] == DEGRADED
         assert transitions[-1] == (DURABLE, "disk healed")
         # conservation: every acknowledged tick is in the WAL exactly once
-        times = [t for t, _, _ in managed.wal.replay()]
+        times = [t for t, _, _ in managed.wal.replay_report()[0]]
         assert times == [float(i) for i in range(8)]
 
     def test_fsync_boundary_failure_never_duplicates_a_tick(self, tmp_path):
@@ -530,7 +518,7 @@ class TestTenantDurability:
         managed.append(4.0, {"cpu": 1.0})
         managed.append(5.0, {"cpu": 1.0})  # probe drains and re-promotes
         assert managed.mode == DURABLE
-        times = [t for t, _, _ in wal.replay()]
+        times = [t for t, _, _ in wal.replay_report()[0]]
         assert times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_retire_wal_survives_a_refused_rotation_fsync(self, tmp_path):
@@ -548,7 +536,7 @@ class TestTenantDurability:
         assert managed.mode == DURABLE
         assert fault.fired >= 1
         # nothing was retired on the failed attempt: all ticks replayable
-        assert [t for t, _, _ in managed.wal.replay()] == [
+        assert [t for t, _, _ in managed.wal.replay_report()[0]] == [
             0.0,
             1.0,
             2.0,
@@ -589,7 +577,7 @@ class TestTenantDurability:
         assert managed.save_checkpoint({"generation": 1}) is True
         assert managed.mode == DURABLE
         assert managed.checkpoints.load() == {"generation": 1}
-        assert [t for t, _, _ in managed.wal.replay()] == [0.0]
+        assert [t for t, _, _ in managed.wal.replay_report()[0]] == [0.0]
 
     def test_flush_volatile_reports_stranded_ticks(self, tmp_path):
         fault = FullDisk()
@@ -601,7 +589,7 @@ class TestTenantDurability:
         assert managed.flush_volatile() == 3  # disk still sick: stranded
         fault.heal()
         assert managed.flush_volatile() == 0
-        assert len(managed.wal.replay()) == 3
+        assert len(managed.wal.replay_report()[0]) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +742,7 @@ class DurableWALMachine(RuleBasedStateMachine):
 
     @invariant()
     def the_log_holds_each_durable_tick_once(self):
-        times = [tick[0] for tick in self.managed.wal.replay()]
+        times = [tick[0] for tick in self.managed.wal.replay_report()[0]]
         self._assert_holds(times, self.checkpointed)
 
     def _assert_holds(self, times, until):

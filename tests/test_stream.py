@@ -60,7 +60,7 @@ class TestRingBufferWindow:
         assert list(window.timestamps) == [7.0, 8.0, 9.0, 10.0]
         assert list(window.column("a")) == [14.0, 16.0, 18.0, 20.0]
         assert list(window.column("c")) == ["v7", "v8", "v9", "v10"]
-        assert window.oldest_seq == 7
+        assert window.appended - window.n_rows == 7
         assert window.appended == 11
 
     def test_views_are_copies_of_the_one_store(self):

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.explain import DBSherlock
-from repro.core.generator import PredicateGenerator
 from repro.data.dataset import Dataset
 from repro.data.regions import Region, RegionSpec
 from repro.viz.ascii import (
     incident_report,
-    partition_strip,
     plot_series,
     sparkline,
 )
@@ -68,33 +66,6 @@ class TestPlotSeries:
         top_row = lines[1]
         bottom_row = lines[5]
         assert "*" in top_row and "*" in bottom_row
-
-
-class TestPartitionStrip:
-    def artifacts(self):
-        ds, spec = step_dataset()
-        arts = PredicateGenerator().generate_with_artifacts(
-            ds, spec, attributes=["txn.avg_latency_ms"]
-        )
-        return arts["txn.avg_latency_ms"]
-
-    def test_initial_strip_has_both_labels(self):
-        strip = partition_strip(self.artifacts(), stage="initial")
-        assert "A" in strip and "N" in strip
-
-    def test_filled_strip_no_empty(self):
-        strip = partition_strip(self.artifacts(), stage="filled")
-        payload = strip.split(": ", 1)[1]
-        assert "·" not in payload
-
-    def test_unknown_stage_reported(self):
-        art = self.artifacts()
-        art.labels_filtered = None
-        assert "not available" in partition_strip(art, stage="filtered")
-
-    def test_width_respected(self):
-        strip = partition_strip(self.artifacts(), width=40)
-        assert len(strip.split(": ", 1)[1]) <= 40
 
 
 class TestIncidentReport:

@@ -44,7 +44,7 @@ class TestTickWAL:
         ]
         for t, num, cat in ticks:
             wal.append(t, num, cat)
-        assert wal.replay() == ticks
+        assert wal.replay_report()[0] == ticks
         wal.close()
 
     def test_replay_survives_reopen(self, tmp_path):
@@ -53,7 +53,7 @@ class TestTickWAL:
             wal.append(0.0, {"a": 1.0}, {})
             wal.append(1.0, {"a": 2.0}, {})
         reopened = TickWAL(path)
-        assert [t for t, _, _ in reopened.replay()] == [0.0, 1.0]
+        assert [t for t, _, _ in reopened.replay_report()[0]] == [0.0, 1.0]
         reopened.close()
 
     def test_torn_tail_is_skipped(self, tmp_path):
@@ -128,10 +128,10 @@ class TestTickWAL:
         wal = TickWAL(path, fsync_every=1)
         wal.append(0.0, {"a": 1.0}, {})
         wal.mark_checkpoint()
-        assert [t for t, _, _ in wal.replay()] == [0.0]
+        assert [t for t, _, _ in wal.replay_report()[0]] == [0.0]
         wal.append(1.0, {"a": 2.0}, {})
         wal.mark_checkpoint()  # second mark: now pre-first-mark goes
-        assert [t for t, _, _ in wal.replay()] == [1.0]
+        assert [t for t, _, _ in wal.replay_report()[0]] == [1.0]
         wal.close()
 
     def test_first_checkpoint_after_reopen_retains_fallback_segments(
@@ -147,10 +147,10 @@ class TestTickWAL:
             wal.append(1.0, {"a": 2.0}, {})
         reopened = TickWAL(path, fsync_every=1)
         reopened.mark_checkpoint()  # first mark of this lifetime
-        assert [t for t, _, _ in reopened.replay()] == [0.0, 1.0]
+        assert [t for t, _, _ in reopened.replay_report()[0]] == [0.0, 1.0]
         reopened.append(2.0, {"a": 3.0}, {})
         reopened.mark_checkpoint()  # second mark: retention resumes
-        assert [t for t, _, _ in reopened.replay()] == [2.0]
+        assert [t for t, _, _ in reopened.replay_report()[0]] == [2.0]
         reopened.close()
 
     def test_interrupted_legacy_migration_is_completed(self, tmp_path):
@@ -161,26 +161,17 @@ class TestTickWAL:
         orphan = tmp_path / "ticks.wal.legacy-migrate"
         orphan.write_text('[0.0, {"a": 1.0}, {}]\n')
         wal = TickWAL(path)
-        assert wal.replay() == [(0.0, {"a": 1.0}, {})]
+        assert wal.replay_report()[0] == [(0.0, {"a": 1.0}, {})]
         assert not orphan.exists()
         wal.append(1.0, {"a": 2.0}, {})
-        assert [t for t, _, _ in wal.replay()] == [0.0, 1.0]
-        wal.close()
-
-    def test_truncate_clears_the_log(self, tmp_path):
-        wal = TickWAL(tmp_path / "ticks.wal")
-        wal.append(0.0, {"a": 1.0}, {})
-        wal.truncate()
-        assert wal.replay() == []
-        wal.append(5.0, {"a": 9.0}, {})
-        assert [t for t, _, _ in wal.replay()] == [5.0]
+        assert [t for t, _, _ in wal.replay_report()[0]] == [0.0, 1.0]
         wal.close()
 
     def test_fsync_batching_still_replays_everything(self, tmp_path):
         wal = TickWAL(tmp_path / "ticks.wal", fsync_every=50)
         for i in range(7):  # fewer than one fsync batch
             wal.append(float(i), {"a": float(i)}, {})
-        assert len(wal.replay()) == 7
+        assert len(wal.replay_report()[0]) == 7
         wal.close()
 
     def test_invalid_fsync_every_rejected(self, tmp_path):
@@ -398,7 +389,7 @@ class TestSupervisorWithWAL:
         # *previous* checkpoint mark are retired, so ticks 11-25 stay on
         # disk (generation-fallback replay needs 11-20) ...
         leftover = TickWAL(tmp_path / "ticks.wal")
-        raw = leftover.replay()
+        raw = leftover.replay_report()[0]
         assert len(raw) == 15
         leftover.close()
         # ... but only the 5 post-checkpoint ticks are *effective*:
